@@ -290,8 +290,9 @@ pub fn standard_split(dataset: &SyntheticDataset) -> Split {
 /// can tell a 1-core host from a real one: `workers` is the number of
 /// serve/engine workers the benchmark drove, `threads` the GEMM worker
 /// threads each engine uses, and `host_cpus` the hardware parallelism the
-/// process saw.
-#[derive(Clone, Copy, Debug, Serialize)]
+/// process saw, and `cpu_model` the processor, so a before/after pair can
+/// show it was recorded on one machine.
+#[derive(Clone, Debug, Serialize)]
 pub struct HostRecord {
     /// Worker engines driven by the benchmark (1 for single-engine runs).
     pub workers: usize,
@@ -299,6 +300,8 @@ pub struct HostRecord {
     pub threads: usize,
     /// Hardware threads visible to the process.
     pub host_cpus: usize,
+    /// The `model name` line of `/proc/cpuinfo`, or `unknown`.
+    pub cpu_model: String,
 }
 
 /// Build the standard [`HostRecord`] for a benchmark driving `workers`
@@ -309,6 +312,15 @@ pub fn host_record(workers: usize) -> HostRecord {
         workers,
         threads: platter_tensor::gemm::effective_threads(),
         host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cpu_model: std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, v)| v.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into()),
     }
 }
 

@@ -25,4 +25,4 @@ pub use metrics::{
     exp_bounds, metric_label, BucketCount, Counter, CounterSnapshot, Histogram,
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use profile::{OpStat, ProfileReport, Profiler, StepStat};
+pub use profile::{GemmShape, OpCost, OpStat, ProfileReport, Profiler, StepStat};

@@ -9,13 +9,37 @@ use std::fmt::Write;
 
 use crate::json;
 
+/// GEMM geometry of a convolution step: the widest product it ran at this
+/// batch size and the plan's fold group for it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GemmShape {
+    /// Output rows (output channels).
+    pub m: usize,
+    /// Shared dimension (`cin·kh·kw`).
+    pub k: usize,
+    /// Output columns of one GEMM call (`items·hout·wout`).
+    pub n: usize,
+    /// Most batch items one GEMM call covers.
+    pub fold: usize,
+}
+
+/// Static cost of one executed plan op, as the planner computes it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpCost {
+    /// Bytes touched: inputs + outputs + parameters.
+    pub bytes: u64,
+    /// Arithmetic operations (a multiply-add counts two).
+    pub flops: u64,
+    /// GEMM geometry, for convolutions.
+    pub gemm: Option<GemmShape>,
+}
+
 /// Receives one event per executed plan op. Implementations must be cheap —
 /// they run inside the inference loop.
 pub trait Profiler {
     /// One op finished: plan step index, structural kind label (e.g.
-    /// `conv2d[Mish]`), wall time in nanoseconds, and bytes touched
-    /// (inputs + outputs + parameters).
-    fn record_op(&mut self, step: usize, kind: &str, nanos: u64, bytes: u64);
+    /// `conv2d[Mish]`), wall time in nanoseconds, and its [`OpCost`].
+    fn record_op(&mut self, step: usize, kind: &str, nanos: u64, cost: OpCost);
 
     /// One full pass over the plan finished (`nanos` is the wall time of the
     /// whole execute call, op loop plus output copies).
@@ -31,13 +55,24 @@ pub struct OpStat {
     pub nanos: u64,
     /// Total bytes touched (inputs + outputs + parameters, per call).
     pub bytes: u64,
+    /// Total arithmetic operations.
+    pub flops: u64,
 }
 
 impl OpStat {
-    fn absorb(&mut self, nanos: u64, bytes: u64) {
+    fn absorb(&mut self, nanos: u64, cost: &OpCost) {
         self.calls += 1;
         self.nanos += nanos;
-        self.bytes += bytes;
+        self.bytes += cost.bytes;
+        self.flops += cost.flops;
+    }
+
+    /// Achieved GFLOP/s (0 when no time was recorded).
+    pub fn gflops(&self) -> f64 {
+        if self.nanos == 0 {
+            return 0.0;
+        }
+        self.flops as f64 / self.nanos as f64
     }
 }
 
@@ -48,6 +83,8 @@ pub struct StepStat {
     pub kind: String,
     /// Accumulated cost across runs.
     pub stat: OpStat,
+    /// GEMM geometry of the most recent call, for convolutions.
+    pub gemm: Option<GemmShape>,
 }
 
 /// The standard [`Profiler`]: aggregates events per op kind and per plan
@@ -61,7 +98,7 @@ pub struct ProfileReport {
 }
 
 impl Profiler for ProfileReport {
-    fn record_op(&mut self, step: usize, kind: &str, nanos: u64, bytes: u64) {
+    fn record_op(&mut self, step: usize, kind: &str, nanos: u64, cost: OpCost) {
         if step >= self.steps.len() {
             self.steps.resize_with(step + 1, StepStat::default);
         }
@@ -69,8 +106,9 @@ impl Profiler for ProfileReport {
         if s.kind.is_empty() {
             s.kind = kind.to_string();
         }
-        s.stat.absorb(nanos, bytes);
-        self.kinds.entry(kind.to_string()).or_default().absorb(nanos, bytes);
+        s.stat.absorb(nanos, &cost);
+        s.gemm = cost.gemm;
+        self.kinds.entry(kind.to_string()).or_default().absorb(nanos, &cost);
     }
 
     fn record_run(&mut self, nanos: u64) {
@@ -136,23 +174,28 @@ impl ProfileReport {
     /// Render the top-K table as aligned text, e.g.:
     ///
     /// ```text
-    /// kind                        calls     ms/run   share      MB/run
-    /// conv2d[Mish]                  570      35.21   87.3%       42.11
-    /// maxpool5s1                     90       1.02    2.5%        8.40
+    /// kind                        calls     ms/run   share      MB/run   GFLOP/s
+    /// conv2d[Mish]                  570      35.21   87.3%       42.11      9.40
+    /// maxpool5s1                     90       1.02    2.5%        8.40      0.61
     /// ```
     pub fn render_table(&self, k: usize) -> String {
         let runs = self.runs.max(1);
         let mut out = String::new();
-        let _ = writeln!(out, "{:<28}{:>7}{:>11}{:>8}{:>12}", "kind", "calls", "ms/run", "share", "MB/run");
+        let _ = writeln!(
+            out,
+            "{:<28}{:>7}{:>11}{:>8}{:>12}{:>10}",
+            "kind", "calls", "ms/run", "share", "MB/run", "GFLOP/s"
+        );
         for (name, stat, share) in self.top_k(k) {
             let _ = writeln!(
                 out,
-                "{:<28}{:>7}{:>11.2}{:>7.1}%{:>12.2}",
+                "{:<28}{:>7}{:>11.2}{:>7.1}%{:>12.2}{:>10.2}",
                 name,
                 stat.calls,
                 stat.nanos as f64 / 1e6 / runs as f64,
                 share * 100.0,
                 stat.bytes as f64 / (1024.0 * 1024.0) / runs as f64,
+                stat.gflops(),
             );
         }
         let _ = writeln!(
@@ -170,12 +213,16 @@ impl ProfileReport {
     ///
     /// ```json
     /// {"runs": N, "total_ms": t, "op_time_ms": o, "op_time_share": s,
-    ///  "kinds": [{"kind": k, "calls": c, "ms": m, "share": f, "mb": b}, ...],
-    ///  "steps": [{"step": i, "kind": k, "calls": c, "ms": m, "mb": b}, ...]}
+    ///  "kinds": [{"kind": k, "calls": c, "ms": m, "share": f, "mb": b,
+    ///             "gflop": g, "gflops": r}, ...],
+    ///  "steps": [{"step": i, "kind": k, "calls": c, "ms": m, "mb": b,
+    ///             "gflop": g, "gflops": r, "m": .., "k": .., "n": .., "fold": ..}, ...]}
     /// ```
     ///
-    /// `kinds` is sorted by time descending; `ms`/`mb` are totals across all
-    /// runs (divide by `runs` for per-pass numbers).
+    /// `kinds` is sorted by time descending; `ms`/`mb`/`gflop` are totals
+    /// across all runs (divide by `runs` for per-pass numbers), `gflops` the
+    /// achieved rate. The GEMM fields `m`/`k`/`n`/`fold` appear on
+    /// convolution steps only.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         let _ = write!(
@@ -194,11 +241,13 @@ impl ProfileReport {
             json::push_str(&mut out, &name);
             let _ = write!(
                 out,
-                ", \"calls\": {}, \"ms\": {:.6}, \"share\": {:.6}, \"mb\": {:.6}}}",
+                ", \"calls\": {}, \"ms\": {:.6}, \"share\": {:.6}, \"mb\": {:.6}, \"gflop\": {:.6}, \"gflops\": {:.3}}}",
                 stat.calls,
                 stat.nanos as f64 / 1e6,
                 share,
-                stat.bytes as f64 / (1024.0 * 1024.0)
+                stat.bytes as f64 / (1024.0 * 1024.0),
+                stat.flops as f64 / 1e9,
+                stat.gflops()
             );
         }
         out.push_str("], \"steps\": [");
@@ -210,11 +259,17 @@ impl ProfileReport {
             json::push_str(&mut out, &s.kind);
             let _ = write!(
                 out,
-                ", \"calls\": {}, \"ms\": {:.6}, \"mb\": {:.6}}}",
+                ", \"calls\": {}, \"ms\": {:.6}, \"mb\": {:.6}, \"gflop\": {:.6}, \"gflops\": {:.3}",
                 s.stat.calls,
                 s.stat.nanos as f64 / 1e6,
-                s.stat.bytes as f64 / (1024.0 * 1024.0)
+                s.stat.bytes as f64 / (1024.0 * 1024.0),
+                s.stat.flops as f64 / 1e9,
+                s.stat.gflops()
             );
+            if let Some(g) = s.gemm {
+                let _ = write!(out, ", \"m\": {}, \"k\": {}, \"n\": {}, \"fold\": {}", g.m, g.k, g.n, g.fold);
+            }
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -227,11 +282,16 @@ mod tests {
 
     fn sample_report() -> ProfileReport {
         let mut r = ProfileReport::new();
+        let conv = |bytes, flops| OpCost {
+            bytes,
+            flops,
+            gemm: Some(GemmShape { m: 8, k: 27, n: 64, fold: 1 }),
+        };
         for _ in 0..2 {
-            r.record_op(0, "input", 100, 64);
-            r.record_op(1, "conv2d[Mish]", 10_000, 4096);
-            r.record_op(2, "conv2d[Mish]", 30_000, 8192);
-            r.record_op(3, "maxpool5s1", 2_000, 1024);
+            r.record_op(0, "input", 100, OpCost { bytes: 64, ..OpCost::default() });
+            r.record_op(1, "conv2d[Mish]", 10_000, conv(4096, 20_000));
+            r.record_op(2, "conv2d[Mish]", 30_000, conv(8192, 60_000));
+            r.record_op(3, "maxpool5s1", 2_000, OpCost { bytes: 1024, flops: 500, gemm: None });
             r.record_run(43_000);
         }
         r
@@ -249,6 +309,11 @@ mod tests {
         assert_eq!(top[0].1.calls, 4);
         assert_eq!(top[0].1.nanos, 80_000);
         assert_eq!(top[1].0, "maxpool5s1");
+        // 160k flops over 80 µs = 2 GFLOP/s.
+        assert_eq!(top[0].1.flops, 160_000);
+        assert!((top[0].1.gflops() - 2.0).abs() < 1e-12);
+        assert_eq!(r.steps()[1].gemm, Some(GemmShape { m: 8, k: 27, n: 64, fold: 1 }));
+        assert_eq!(r.steps()[3].gemm, None);
     }
 
     #[test]
@@ -268,6 +333,8 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"op_time_share\""));
         assert!(json.contains("\"kind\": \"conv2d[Mish]\""));
+        assert!(json.contains("\"m\": 8, \"k\": 27, \"n\": 64, \"fold\": 1}"));
+        assert!(json.contains("\"gflops\": 2.000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

@@ -1,12 +1,30 @@
-//! Single-precision matrix multiplication.
+//! Matrix multiplication: the eager GEMM and the fused conv GEMM driver.
 //!
 //! Convolution (via im2col) and the linear layers all bottom out here, so
-//! this is the hottest code in the workspace. The kernel accumulates
-//! `I_TILE`×`J_TILE` register tiles of C over the shared dimension; large
-//! outputs are split into row bands and dispatched across threads with
-//! `crossbeam::scope`. [`gemm_bias_act`] is the planned executor's variant
-//! with the conv bias + activation fused into the tile writeback.
+//! this is the hottest code in the workspace.
+//!
+//! - [`gemm_into`] / [`matmul`] serve the autograd tape: `I_TILE`×`J_TILE`
+//!   register tiles, row bands across threads.
+//! - [`gemm_fused`] is the planned executor's conv GEMM, the one driver
+//!   both precisions share. A [`FusedKernel`] supplies the dtype half —
+//!   accumulator start value, multiply-accumulate, epilogue, optionally a
+//!   SIMD wide tile ([`BiasAct`] here for f32, `qgemm::DequantBiasAct` for
+//!   i8) — and the driver does the rest: column panels across threads,
+//!   `I_TILE`×`J_TILE` wide tiles, a narrow tile for the columns left over
+//!   (all of them when `n < J_TILE`), and the epilogue writeback in
+//!   batch-folded NCHW order, so one GEMM can cover several batch items.
+//!
+//! The narrow tile vectorises over output rows instead of columns: 8 rows
+//! × 4 columns per pass over `k`, weight rows read in place and `B[p, j]`
+//! broadcast, so a 2×2 feature map (`n = 4`) still keeps a register tile
+//! busy. It never copies or transposes the weights.
+//!
+//! Every path computes an output element as its start value plus plain
+//! `acc + a·b` steps in ascending `k` — no FMA contraction, no reordering
+//! — so the bits of an element depend on neither the thread count, the
+//! fold group, nor the tile that produced it.
 
+use crate::nn::Activation;
 use crate::tensor::Tensor;
 
 /// Row-band size handed to each worker thread.
@@ -82,183 +100,321 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     .expect("gemm worker panicked");
 }
 
-/// Column-tile width of the register microkernel (4 SSE vectors).
-const J_TILE: usize = 16;
-/// Row-tile height of the register microkernel.
-const I_TILE: usize = 4;
+/// Column width of the wide register tile (4 SSE vectors).
+pub const J_TILE: usize = 16;
+/// Row height of the wide register tile.
+pub const I_TILE: usize = 4;
+/// Output rows the narrow tile vectorises over.
+const R_TILE: usize = 8;
+/// Output columns the narrow tile computes per pass over `k`.
+const N_TILE: usize = 4;
 
-/// `C = act(bias[i] + A · B)` written into `c` (previous contents ignored):
-/// the fused conv epilogue of the planned executor. Row `i` of C takes bias
-/// `bias[i]`; `act` is applied to every finished element while the tile is
-/// still cache-hot. Compared to prefill + `gemm_into` + a separate activation
-/// pass this touches C once instead of five times.
+/// The per-dtype half of a fused GEMM: element and accumulator types, the
+/// multiply-accumulate, the epilogue, and optionally a faster wide tile.
+/// [`gemm_fused`] is the other half — tiling, threading and writeback —
+/// shared by every dtype.
 ///
-/// Fans out across [`effective_threads`] workers when the problem is large
-/// enough — see [`gemm_bias_act_threads`] for the decomposition and the
-/// bit-identity guarantee.
-#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the epilogue
-pub fn gemm_bias_act<F: Fn(f32) -> f32 + Copy + Send + Sync>(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    bias: &[f32],
-    act: F,
-) {
-    gemm_bias_act_threads(effective_threads(), a, b, c, m, k, n, bias, act)
+/// Output element `(i, j)` is `finish(i, acc)` where `acc` starts at
+/// `init(i)` and takes `acc = mac(acc, a[i,p], b[p,j])` for `p = 0, 1, …,
+/// k-1` in that order. Every path of the driver keeps exactly this order,
+/// so an element's bits do not depend on which tile, panel or fold group
+/// produced it.
+pub trait FusedKernel: Sync {
+    /// Element of the row-major `[m, k]` weight matrix `A`.
+    type A: Copy + Sync;
+    /// Element of the row-major `[k, n]` column matrix `B`.
+    type B: Copy + Sync;
+    /// Accumulator.
+    type Acc: Copy;
+    /// Shared dimensions `k ≥ K_MAX` are refused: the accumulator could
+    /// overflow.
+    const K_MAX: usize = usize::MAX;
+    /// Accumulator start value for output row `row`.
+    fn init(&self, row: usize) -> Self::Acc;
+    /// One multiply-accumulate step.
+    fn mac(acc: Self::Acc, a: Self::A, b: Self::B) -> Self::Acc;
+    /// Epilogue: the f32 value stored for a finished accumulator of `row`.
+    fn finish(&self, row: usize, acc: Self::Acc) -> f32;
+    /// Accumulate rows `i0..i0+ib` (`ib ≤ I_TILE`) × columns
+    /// `j..j+J_TILE` of `A·B` into `acc`, which holds the `init` values.
+    /// Override only with a kernel that yields the same bits as
+    /// [`portable_tile`].
+    #[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the tile origin
+    fn wide_tile(
+        &self,
+        a: &[Self::A],
+        b: &[Self::B],
+        k: usize,
+        n: usize,
+        i0: usize,
+        ib: usize,
+        j: usize,
+        acc: &mut [[Self::Acc; J_TILE]; I_TILE],
+    ) {
+        portable_tile::<Self>(a, b, k, n, i0, ib, j, acc)
+    }
 }
 
-/// [`gemm_bias_act`] with an explicit worker count.
+/// The f32 conv epilogue: accumulators start at the row's bias and the
+/// activation is applied to the finished sum.
+#[derive(Clone, Copy, Debug)]
+pub struct BiasAct<'a> {
+    /// One bias per output row.
+    pub bias: &'a [f32],
+    /// Activation applied at writeback.
+    pub act: Activation,
+}
+
+impl FusedKernel for BiasAct<'_> {
+    type A = f32;
+    type B = f32;
+    type Acc = f32;
+
+    #[inline(always)]
+    fn init(&self, row: usize) -> f32 {
+        self.bias[row]
+    }
+
+    #[inline(always)]
+    fn mac(acc: f32, a: f32, b: f32) -> f32 {
+        acc + a * b
+    }
+
+    #[inline(always)]
+    fn finish(&self, _row: usize, acc: f32) -> f32 {
+        self.act.eval(acc)
+    }
+}
+
+/// The portable wide tile: plain [`FusedKernel::mac`] steps in ascending
+/// `k`, `IB`×`J_TILE` accumulators held in registers.
+#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the tile origin
+pub fn portable_tile<K: FusedKernel + ?Sized>(
+    a: &[K::A],
+    b: &[K::B],
+    k: usize,
+    n: usize,
+    i0: usize,
+    ib: usize,
+    j: usize,
+    acc: &mut [[K::Acc; J_TILE]; I_TILE],
+) {
+    match ib {
+        4 => tile_rows::<K, 4>(a, b, k, n, i0, j, acc),
+        3 => tile_rows::<K, 3>(a, b, k, n, i0, j, acc),
+        2 => tile_rows::<K, 2>(a, b, k, n, i0, j, acc),
+        _ => tile_rows::<K, 1>(a, b, k, n, i0, j, acc),
+    }
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the tile origin
+#[allow(clippy::needless_range_loop)] // p walks A rows and B rows in lockstep
+fn tile_rows<K: FusedKernel + ?Sized, const IB: usize>(
+    a: &[K::A],
+    b: &[K::B],
+    k: usize,
+    n: usize,
+    i0: usize,
+    j: usize,
+    acc: &mut [[K::Acc; J_TILE]; I_TILE],
+) {
+    let arows: [&[K::A]; IB] = std::array::from_fn(|ii| &a[(i0 + ii) * k..(i0 + ii) * k + k]);
+    let mut r: [[K::Acc; J_TILE]; IB] = std::array::from_fn(|ii| acc[ii]);
+    for p in 0..k {
+        let off = p * n + j;
+        let bt: &[K::B; J_TILE] = b[off..off + J_TILE].try_into().expect("tile lies inside B");
+        for ii in 0..IB {
+            let av = arows[ii][p];
+            for t in 0..J_TILE {
+                r[ii][t] = K::mac(r[ii][t], av, bt[t]);
+            }
+        }
+    }
+    acc[..IB].copy_from_slice(&r);
+}
+
+/// The narrow tile, for columns left over after the wide tiles (all of
+/// them when `n < J_TILE`): `R_TILE` output rows × `N_TILE` columns, one
+/// accumulator vector per column, broadcasting `B[p, j]` across rows read
+/// in place from `A`. Rows past `m` and columns past `j1` repeat the last
+/// valid one; the caller writes back only the valid part.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the tile origin
+fn narrow_tile<K: FusedKernel>(
+    kern: &K,
+    a: &[K::A],
+    b: &[K::B],
+    m: usize,
+    k: usize,
+    n: usize,
+    i0: usize,
+    j0: usize,
+    j1: usize,
+) -> [[K::Acc; R_TILE]; N_TILE] {
+    let rows: [usize; R_TILE] = std::array::from_fn(|r| (i0 + r).min(m - 1));
+    let cols: [usize; N_TILE] = std::array::from_fn(|t| (j0 + t).min(j1 - 1));
+    let arows: [&[K::A]; R_TILE] = std::array::from_fn(|r| &a[rows[r] * k..rows[r] * k + k]);
+    let mut acc = [std::array::from_fn::<_, R_TILE, _>(|r| kern.init(rows[r])); N_TILE];
+    for p in 0..k {
+        let av: [K::A; R_TILE] = std::array::from_fn(|r| arows[r][p]);
+        let brow = &b[p * n..p * n + n];
+        for t in 0..N_TILE {
+            let bv = brow[cols[t]];
+            for r in 0..R_TILE {
+                acc[t][r] = K::mac(acc[t][r], av[r], bv);
+            }
+        }
+    }
+    acc
+}
+
+/// `C = finish(init + A·B)` for `A: [m, k]`, `B: [k, n]`, written to `c`
+/// in batch-folded NCHW order (previous contents ignored): column `j` of
+/// the product is pixel `j % hw` of item `j / hw`, and item `b`'s `[m, hw]`
+/// plane starts at `c[b·m·hw]`. `hw = n` gives a plain row-major `[m, n]`.
 ///
-/// Parallelism is over **column panels** of C rather than row bands: for a
-/// conv at batch 1, `m` is the channel count (often a handful) while `n` is
-/// the spatial extent (thousands), so columns are where the work is — this
-/// is what makes a single large layer scale even without batching. Every
-/// output element is computed by exactly one worker with the same k-order
-/// accumulation as the serial path, so results are **bit-identical for any
-/// thread count** — the multi-worker parity suites depend on this.
+/// This is the one driver every fused GEMM runs through; a
+/// [`FusedKernel`] supplies the dtype-specific half. Work splits into
+/// **column panels**, one per worker (at most `threads`, never narrower
+/// than one wide tile, serial below 2^18 multiply-adds); inside a panel,
+/// `I_TILE`×`J_TILE` wide tiles cover whole `J_TILE` column blocks and the
+/// narrow tile covers the rest. Each output element is computed once, in
+/// the [`FusedKernel`] order, so results are **bit-identical for any
+/// thread count, fold group, or tile path**.
 #[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the epilogue
-pub fn gemm_bias_act_threads<F: Fn(f32) -> f32 + Copy + Send + Sync>(
+pub fn gemm_fused<K: FusedKernel>(
     threads: usize,
-    a: &[f32],
-    b: &[f32],
+    kern: &K,
+    a: &[K::A],
+    b: &[K::B],
     c: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
-    bias: &[f32],
-    act: F,
+    hw: usize,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    debug_assert_eq!(bias.len(), m);
-    // Panel count: never more than the threads asked for, never so many
-    // that a panel is narrower than one register tile.
+    assert!(k < K::K_MAX, "GEMM shared dim {k} could overflow the accumulator (limit {})", K::K_MAX);
+    assert!(hw > 0 && n.is_multiple_of(hw), "GEMM columns {n} are not whole items of {hw} pixels");
+    assert_eq!(a.len(), m * k, "A must be [{m}, {k}]");
+    assert_eq!(b.len(), k * n, "B must be [{k}, {n}]");
+    assert_eq!(c.len(), m * n, "C must hold {m}×{n} elements");
+    if m == 0 || n == 0 {
+        return;
+    }
+    let out = OutPtr { ptr: c.as_mut_ptr(), m, hw };
     let panels = threads.min(n / J_TILE).max(1);
     if panels <= 1 || m * k * n < PAR_THRESHOLD {
-        // SAFETY: the pointer covers all of `c` (len m*n) and there is no
-        // other writer.
-        unsafe { fused_cols(a, b, ColumnsPtr(c.as_mut_ptr()), m, k, n, 0, n, bias, act) };
+        // SAFETY: `out` covers all of `c` (len m·n, checked above) and
+        // there is no other writer.
+        unsafe { fused_cols(kern, a, b, out, m, k, n, 0, n) };
         return;
     }
     // Tile-aligned panel width; the last panel absorbs the remainder
-    // (including the scalar column tail).
+    // (including the narrow columns).
     let per = (n / panels / J_TILE).max(1) * J_TILE;
-    let cptr = ColumnsPtr(c.as_mut_ptr());
     crossbeam::scope(|scope| {
         for idx in 0..panels {
             let j0 = idx * per;
             let j1 = if idx == panels - 1 { n } else { j0 + per };
             scope.spawn(move |_| {
-                // SAFETY: panels partition [0, n) disjointly, and
-                // `fused_cols` writes only columns [j0, j1) of the m×n
-                // matrix behind `cptr`, which outlives the scope.
-                unsafe { fused_cols(a, b, cptr, m, k, n, j0, j1, bias, act) };
+                // SAFETY: panels partition [0, n) disjointly, `fused_cols`
+                // writes only the elements of columns [j0, j1), and the
+                // column → element map is injective; `c` outlives the scope.
+                unsafe { fused_cols(kern, a, b, out, m, k, n, j0, j1) };
             });
         }
     })
-    .expect("gemm_bias_act worker panicked");
+    .expect("gemm_fused worker panicked");
 }
 
-/// Raw base pointer to C, shared across panel workers. Each worker writes a
-/// disjoint column range, so no element is ever written twice; `Send`/`Sync`
-/// are sound under that discipline (enforced by the single call site).
+/// Base pointer of the output plus the fold geometry that maps a product
+/// column to its destination.
 #[derive(Clone, Copy)]
-struct ColumnsPtr(*mut f32);
-unsafe impl Send for ColumnsPtr {}
-unsafe impl Sync for ColumnsPtr {}
+struct OutPtr {
+    ptr: *mut f32,
+    m: usize,
+    hw: usize,
+}
 
-/// Compute columns `[j0, j1)` of `C = act(bias + A·B)` across all `m` rows.
+// SAFETY: the pointer is only written through by `fused_cols`, whose
+// callers give each thread a disjoint column range; distinct (row, column)
+// pairs map to distinct elements, so no element is written twice. `m` and
+// `hw` are plain integers.
+unsafe impl Send for OutPtr {}
+// SAFETY: as for `Send` — shared copies never write the same element.
+unsafe impl Sync for OutPtr {}
+
+impl OutPtr {
+    /// Store `vals` as row `i`, columns `j, j+1, …` of the product: one
+    /// contiguous copy per batch item the run touches.
+    ///
+    /// # Safety
+    /// Row `i` and the columns written must lie inside the `m`×`n` product
+    /// this pointer was made for, and belong to the calling thread.
+    #[inline(always)]
+    unsafe fn write_run(self, i: usize, j: usize, mut vals: &[f32]) {
+        let (mut item, mut pix) = (j / self.hw, j % self.hw);
+        while !vals.is_empty() {
+            let len = vals.len().min(self.hw - pix);
+            let dst = self.ptr.add((item * self.m + i) * self.hw + pix);
+            std::ptr::copy_nonoverlapping(vals.as_ptr(), dst, len);
+            vals = &vals[len..];
+            item += 1;
+            pix = 0;
+        }
+    }
+}
+
+/// Compute columns `[j0, j1)` of the product across all `m` rows.
 ///
 /// # Safety
-/// `c` must point to an `m`×`n` row-major matrix valid for writes, and no
-/// other thread may concurrently touch columns `[j0, j1)` of it.
-#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the epilogue
-unsafe fn fused_cols<F: Fn(f32) -> f32 + Copy>(
-    a: &[f32],
-    b: &[f32],
-    c: ColumnsPtr,
+/// `c` must be valid for writes of the whole `m`×`n` product, and no other
+/// thread may concurrently write columns `[j0, j1)` of it.
+#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the panel bounds
+#[allow(clippy::needless_range_loop)] // r indexes rows inside per-column accumulators
+unsafe fn fused_cols<K: FusedKernel>(
+    kern: &K,
+    a: &[K::A],
+    b: &[K::B],
+    c: OutPtr,
     m: usize,
     k: usize,
     n: usize,
     j0: usize,
     j1: usize,
-    bias: &[f32],
-    act: F,
 ) {
+    let jw = j0 + (j1 - j0) / J_TILE * J_TILE;
     let mut i = 0;
-    while i < m {
+    while i < m && j0 < jw {
         let ib = I_TILE.min(m - i);
         let mut j = j0;
-        while j + J_TILE <= j1 {
-            match ib {
-                4 => fused_tile::<4, F>(a, b, c, k, n, i, j, bias, act),
-                3 => fused_tile::<3, F>(a, b, c, k, n, i, j, bias, act),
-                2 => fused_tile::<2, F>(a, b, c, k, n, i, j, bias, act),
-                _ => fused_tile::<1, F>(a, b, c, k, n, i, j, bias, act),
+        while j < jw {
+            let mut acc: [[K::Acc; J_TILE]; I_TILE] =
+                std::array::from_fn(|ii| [kern.init((i + ii).min(m - 1)); J_TILE]);
+            kern.wide_tile(a, b, k, n, i, ib, j, &mut acc);
+            for (ii, row) in acc.iter().enumerate().take(ib) {
+                let vals: [f32; J_TILE] = std::array::from_fn(|t| kern.finish(i + ii, row[t]));
+                c.write_run(i + ii, j, &vals);
             }
             j += J_TILE;
         }
-        // Scalar tail for the last (j1 - j0) % J_TILE columns.
-        for ii in 0..ib {
-            let arow = &a[(i + ii) * k..(i + ii + 1) * k];
-            for jj in j..j1 {
-                let mut acc = bias[i + ii];
-                for (p, &av) in arow.iter().enumerate() {
-                    acc += av * b[p * n + jj];
-                }
-                c.0.add((i + ii) * n + jj).write(act(acc));
-            }
-        }
         i += ib;
     }
-}
-
-/// Fused-epilogue variant of [`tile_kernel`]: accumulators start at the row
-/// bias and the activation is applied at writeback. Writes through the panel
-/// pointer; same k-order accumulation as the scalar tail, so an element's
-/// value does not depend on which path produced it.
-///
-/// # Safety
-/// As [`fused_cols`]: `c` valid for the `m`×`n` matrix, columns
-/// `[j, j+J_TILE)` owned by this thread.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the epilogue
-#[allow(clippy::needless_range_loop)] // p walks A rows and B rows in lockstep
-unsafe fn fused_tile<const IB: usize, F: Fn(f32) -> f32 + Copy>(
-    a: &[f32],
-    b: &[f32],
-    c: ColumnsPtr,
-    k: usize,
-    n: usize,
-    i0: usize,
-    j: usize,
-    bias: &[f32],
-    act: F,
-) {
-    let arows: [&[f32]; IB] = std::array::from_fn(|ii| &a[(i0 + ii) * k..(i0 + ii) * k + k]);
-    let mut acc = [[0.0f32; J_TILE]; IB];
-    for (ii, accr) in acc.iter_mut().enumerate() {
-        accr.fill(bias[i0 + ii]);
-    }
-    for p in 0..k {
-        let off = p * n + j;
-        let bt: &[f32; J_TILE] = b[off..off + J_TILE].try_into().unwrap();
-        for ii in 0..IB {
-            let av = arows[ii][p];
-            for t in 0..J_TILE {
-                acc[ii][t] += av * bt[t];
+    let mut i = 0;
+    while i < m && jw < j1 {
+        let rb = R_TILE.min(m - i);
+        let mut j = jw;
+        while j < j1 {
+            let jb = N_TILE.min(j1 - j);
+            let acc = narrow_tile(kern, a, b, m, k, n, i, j, j1);
+            for r in 0..rb {
+                let vals: [f32; N_TILE] = std::array::from_fn(|t| kern.finish(i + r, acc[t][r]));
+                c.write_run(i + r, j, &vals[..jb]);
             }
+            j += jb;
         }
-    }
-    for (ii, accr) in acc.iter().enumerate() {
-        let base = (i0 + ii) * n + j;
-        for (t, &av) in accr.iter().enumerate() {
-            c.0.add(base + t).write(act(av));
-        }
+        i += rb;
     }
 }
 
@@ -418,47 +574,5 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[4, 2]);
         matmul(&a, &b);
-    }
-
-    #[test]
-    fn fused_epilogue_matches_naive() {
-        let mut rng = StdRng::seed_from_u64(3);
-        for &(m, k, n) in &[(1usize, 1usize, 1usize), (3, 5, 2), (5, 9, 35), (4, 8, 16)] {
-            let a = Tensor::randn(&[m, k], &mut rng);
-            let b = Tensor::randn(&[k, n], &mut rng);
-            let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.25 - 0.5).collect();
-            let mut c = vec![f32::NAN; m * n]; // previous contents must be ignored
-            gemm_bias_act(a.as_slice(), b.as_slice(), &mut c, m, k, n, &bias, |v| v.max(0.0));
-            let plain = naive(&a, &b);
-            for i in 0..m {
-                for j in 0..n {
-                    let want = (plain.as_slice()[i * n + j] + bias[i]).max(0.0);
-                    let got = c[i * n + j];
-                    assert!((got - want).abs() < 1e-4, "({m},{k},{n})[{i},{j}]: {got} vs {want}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_epilogue_bit_identical_across_thread_counts() {
-        // The serving parity suites assume a forked worker computes the same
-        // bits regardless of the host's core count; that reduces to this:
-        // panel decomposition must not change any element's accumulation
-        // order. Shapes chosen to exercise tile interiors, scalar column
-        // tails, narrow-n serial fallback, and sub-threshold sizes.
-        let mut rng = StdRng::seed_from_u64(4);
-        for &(m, k, n) in &[(4usize, 160usize, 640usize), (3, 96, 1000), (8, 512, 257), (2, 7, 33)] {
-            let a = Tensor::randn(&[m, k], &mut rng);
-            let b = Tensor::randn(&[k, n], &mut rng);
-            let bias: Vec<f32> = (0..m).map(|i| (i as f32).sin()).collect();
-            let mut want = vec![0.0f32; m * n];
-            gemm_bias_act_threads(1, a.as_slice(), b.as_slice(), &mut want, m, k, n, &bias, |v| v);
-            for threads in [2usize, 3, 5, 64] {
-                let mut got = vec![f32::NAN; m * n];
-                gemm_bias_act_threads(threads, a.as_slice(), b.as_slice(), &mut got, m, k, n, &bias, |v| v);
-                assert_eq!(got, want, "({m},{k},{n}) threads={threads} must be bit-identical");
-            }
-        }
     }
 }

@@ -37,11 +37,14 @@ pub(crate) fn is_pointwise(kh: usize, kw: usize, spec: Conv2dSpec) -> bool {
     kh == 1 && kw == 1 && spec.stride == 1 && spec.pad == 0
 }
 
-/// Unfold `x[n]` into a `[cin*kh*kw, hout*wout]` column matrix. Generic over
-/// the element type so the f32 and quantized (i8) executors share one
-/// unfolding routine; padding cells take `T::default()` (0.0 / 0 — for
-/// symmetric i8 quantization, zero-point is 0, so integer zero *is* the
-/// quantized padding value).
+/// Unfold `x[n]` into a `[cin*kh*kw, hout*wout]` column matrix whose rows
+/// sit `ld ≥ hout*wout` elements apart in `col` — `ld = hout*wout` for a
+/// dense matrix; the planned executor passes a wider stride to lay several
+/// batch items side by side. Generic over the element type so the f32 and
+/// quantized (i8) executors share one unfolding routine; padding cells take
+/// `T::default()` (0.0 / 0 — for symmetric i8 quantization, zero-point is
+/// 0, so integer zero *is* the quantized padding value).
+#[allow(clippy::too_many_arguments)] // conv geometry plus the column stride
 pub(crate) fn im2col<T: Copy + Default>(
     x: &[T],
     (cin, h, w): (usize, usize, usize),
@@ -49,15 +52,17 @@ pub(crate) fn im2col<T: Copy + Default>(
     spec: Conv2dSpec,
     (hout, wout): (usize, usize),
     col: &mut [T],
+    ld: usize,
 ) {
-    debug_assert_eq!(col.len(), cin * kh * kw * hout * wout);
+    let hw = hout * wout;
+    debug_assert!(ld >= hw && col.len() >= (cin * kh * kw - 1) * ld + hw);
     let zero = T::default();
     let mut row = 0usize;
     for c in 0..cin {
         let plane = &x[c * h * w..(c + 1) * h * w];
         for ky in 0..kh {
             for kx in 0..kw {
-                let dst = &mut col[row * hout * wout..(row + 1) * hout * wout];
+                let dst = &mut col[row * ld..row * ld + hw];
                 row += 1;
                 for oy in 0..hout {
                     let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
@@ -134,7 +139,7 @@ fn conv_forward(x: &Tensor, w: &Tensor, spec: Conv2dSpec) -> Tensor {
             // 1×1 / stride 1 / pad 0: the column matrix is the input itself.
             gemm_into(ws, src, dst, cout, cin, hout * wout);
         } else {
-            im2col(src, (cin, h, wdim), (kh, kw), spec, (hout, wout), &mut col);
+            im2col(src, (cin, h, wdim), (kh, kw), spec, (hout, wout), &mut col, hout * wout);
             gemm_into(ws, &col, dst, cout, cin * kh * kw, hout * wout);
         }
     }
@@ -187,7 +192,7 @@ impl Graph {
                     }
                     // dL/dW += G_b · col_bᵀ  (recompute col_b instead of
                     // storing one per batch item in the tape).
-                    im2col(x_b, (cin, h, wdim), (kh, kw), spec, (hout, wout), &mut col);
+                    im2col(x_b, (cin, h, wdim), (kh, kw), spec, (hout, wout), &mut col, hout * wout);
                     // gw[cout, kdim] += gout_b[cout, hw] · colᵀ[hw, kdim]
                     let colt = Tensor::from_vec(col.clone(), &[kdim, hout * wout]).transpose2d();
                     gemm_accumulate(gout_b, colt.as_slice(), &mut gw, cout, hout * wout, kdim, 1.0);

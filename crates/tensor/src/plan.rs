@@ -16,9 +16,13 @@
 //! peak memory is roughly the widest pair of live activations instead of
 //! the sum of all layers. An [`Executor`] then runs the plan into those
 //! pre-allocated buffers with a bias+activation-fused GEMM epilogue
-//! ([`crate::gemm::gemm_bias_act`]) and a persistent im2col scratch: after
+//! ([`crate::gemm::gemm_fused`]) and a persistent im2col scratch: after
 //! the first call at a given batch size, the steady-state hot path performs
-//! no heap allocation at all.
+//! no heap allocation at all. Convolutions with small outputs fold several
+//! batch items into one GEMM, as many as that scratch holds (the fold
+//! group, fixed when the plan is assembled), and the GEMM epilogue writes
+//! each item's plane straight into the NCHW output — activations stay
+//! NCHW throughout, so the fold needs no layout ops.
 //!
 //! Every planned value, arena slot, and weight buffer carries an explicit
 //! [`DType`]. `F32` is the default the planner emits; the quantization pass
@@ -60,14 +64,13 @@
 
 use std::sync::Arc;
 
-use platter_obs::Profiler;
+use platter_obs::{GemmShape, OpCost, Profiler};
 
-use crate::gemm::{gemm_bias_act, gemm_into};
+use crate::gemm::{effective_threads, gemm_fused, gemm_into, BiasAct, FusedKernel};
 use crate::nn::Activation;
 use crate::ops::conv::{im2col, is_pointwise};
-use crate::ops::elementwise::{mish_f, LEAKY_SLOPE};
 use crate::ops::Conv2dSpec;
-use crate::qgemm::gemm_i8_dequant_bias_act;
+use crate::qgemm::DequantBiasAct;
 use crate::quant::Calibration;
 use crate::tensor::Tensor;
 use crate::weights::{DType, PlanWeights, StagedBuf, WeightId};
@@ -169,6 +172,62 @@ impl PlanOp {
             PlanOp::Quantize { .. } => DType::I8,
             _ => DType::F32,
         }
+    }
+}
+
+/// A convolution as its GEMM sees it: per item, the `[m, k]` weight matrix
+/// times a `[k, hw]` column matrix unfolded from a `[cin, h, w]` input.
+#[derive(Clone, Copy, Debug)]
+struct ConvGeom {
+    cin: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    spec: Conv2dSpec,
+    hout: usize,
+    wout: usize,
+    /// Output channels.
+    m: usize,
+    /// `cin·kh·kw`.
+    k: usize,
+    /// Output pixels per item.
+    hw: usize,
+}
+
+impl ConvGeom {
+    /// Geometry of op `i`, or `None` when it is not a convolution.
+    fn of(ops: &[PlanOp], shapes: &[Vec<usize>], i: usize) -> Option<ConvGeom> {
+        let (x, cout, cin, kh, kw, spec) = match &ops[i] {
+            PlanOp::Conv2d { x, cout, cin, kh, kw, spec, .. }
+            | PlanOp::QuantConv2d { x, cout, cin, kh, kw, spec, .. } => (*x, *cout, *cin, *kh, *kw, *spec),
+            _ => return None,
+        };
+        let (h, w) = (shapes[x.0][1], shapes[x.0][2]);
+        let (hout, wout) = (shapes[i][1], shapes[i][2]);
+        Some(ConvGeom { cin, h, w, kh, kw, spec, hout, wout, m: cout, k: cin * kh * kw, hw: hout * wout })
+    }
+
+    fn pointwise(&self) -> bool {
+        is_pointwise(self.kh, self.kw, self.spec)
+    }
+
+    /// Column-matrix elements one item needs in the im2col scratch (none
+    /// for a pointwise conv, whose input plane already is the matrix).
+    fn col_elems(&self) -> usize {
+        if self.pointwise() {
+            0
+        } else {
+            self.k * self.hw
+        }
+    }
+
+    /// How many batch items one GEMM call covers, given `cap` elements of
+    /// im2col scratch: as many as fit side by side, so folding never grows
+    /// the arena and no group's column matrix is wider than the widest
+    /// single-item one the plan already had.
+    fn fold_group(&self, cap: usize) -> usize {
+        (cap / (self.k * self.hw)).max(1)
     }
 }
 
@@ -488,22 +547,27 @@ pub(crate) fn assemble(
     }
 
     // Persistent im2col scratch, one per precision: the widest column
-    // matrix of any conv that cannot take the pointwise fast path.
+    // matrix of any conv that cannot take the pointwise fast path. Batch
+    // folding then packs as many items per GEMM as that scratch holds.
+    let geoms: Vec<Option<ConvGeom>> = (0..n).map(|i| ConvGeom::of(&ops, &shapes, i)).collect();
     let mut col_len = 0usize;
     let mut qcol_len = 0usize;
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            PlanOp::Conv2d { cin, kh, kw, spec, .. } if !is_pointwise(*kh, *kw, *spec) => {
-                let s = &shapes[i];
-                col_len = col_len.max(cin * kh * kw * s[1] * s[2]);
-            }
-            PlanOp::QuantConv2d { cin, kh, kw, spec, .. } if !is_pointwise(*kh, *kw, *spec) => {
-                let s = &shapes[i];
-                qcol_len = qcol_len.max(cin * kh * kw * s[1] * s[2]);
-            }
+    for (op, g) in ops.iter().zip(&geoms) {
+        match (op, g) {
+            (PlanOp::QuantConv2d { .. }, Some(g)) => qcol_len = qcol_len.max(g.col_elems()),
+            (_, Some(g)) => col_len = col_len.max(g.col_elems()),
             _ => {}
         }
     }
+    let fold = ops
+        .iter()
+        .zip(&geoms)
+        .map(|(op, g)| match (op, g) {
+            (PlanOp::QuantConv2d { .. }, Some(g)) => g.fold_group(qcol_len),
+            (_, Some(g)) => g.fold_group(col_len),
+            _ => 1,
+        })
+        .collect();
 
     Plan {
         ops,
@@ -517,6 +581,7 @@ pub(crate) fn assemble(
         outputs: outputs.to_vec(),
         col_len,
         qcol_len,
+        fold,
         num_inputs,
         weights: Arc::new(PlanWeights::freeze(wbufs)),
     }
@@ -563,6 +628,8 @@ pub struct Plan {
     pub(crate) col_len: usize,
     /// i8 im2col scratch length (0 for pure-f32 plans).
     pub(crate) qcol_len: usize,
+    /// Per op: most batch items one conv GEMM covers (1 for other ops).
+    pub(crate) fold: Vec<usize>,
     pub(crate) num_inputs: usize,
     /// Frozen parameters, shared by every executor forked off this plan.
     pub(crate) weights: Arc<PlanWeights>,
@@ -594,6 +661,13 @@ impl Plan {
     /// both precisions; elements, not bytes — i8 slots count 1 per element).
     pub fn per_item_arena_elems(&self) -> usize {
         self.slot_caps.iter().sum::<usize>() + self.col_len + self.qcol_len
+    }
+
+    /// Elements of the im2col scratch, both precisions. Fixed at plan
+    /// build and independent of the batch size: batch folding packs items
+    /// into this scratch, it never grows it.
+    pub fn col_len(&self) -> usize {
+        self.col_len + self.qcol_len
     }
 
     /// The dominant parameter precision: `I8` once the quantization pass has
@@ -676,6 +750,39 @@ impl Plan {
             _ => 0,
         };
         bytes as u64
+    }
+
+    /// Arithmetic operations op `i` performs at batch size `n`, counting a
+    /// multiply-add as two: `2·m·k·hw` per item for a convolution (the
+    /// epilogue is not counted) and `2·d_in·d_out` for a linear layer; one
+    /// per element for elementwise arithmetic (two for scale-bias, `k²`
+    /// comparisons for a `k`×`k` max pool); zero for pure data movement
+    /// (input, concat, upsample). Integer multiply-adds of quantized convs
+    /// count like float ones.
+    pub fn op_flops(&self, i: usize, n: usize) -> u64 {
+        let numel = self.item_numel[i];
+        let per_item = match &self.ops[i] {
+            PlanOp::Conv2d { .. } | PlanOp::QuantConv2d { .. } => {
+                let g = ConvGeom::of(&self.ops, &self.shapes, i).expect("conv op has a conv geometry");
+                2 * g.m * g.k * g.hw
+            }
+            PlanOp::Linear { d_in, d_out, .. } => 2 * d_in * d_out,
+            PlanOp::ScaleBias { .. } => 2 * numel,
+            PlanOp::Activation { .. } | PlanOp::Add { .. } | PlanOp::Quantize { .. } => numel,
+            PlanOp::MaxPool { k, .. } => k * k * numel,
+            PlanOp::Input { .. } | PlanOp::Upsample { .. } | PlanOp::Concat { .. } => 0,
+        };
+        (per_item * n) as u64
+    }
+
+    /// What the profiler learns about op `i` at batch size `n`: bytes,
+    /// FLOPs, and for a convolution the widest GEMM it runs.
+    fn op_cost(&self, i: usize, n: usize) -> OpCost {
+        let gemm = ConvGeom::of(&self.ops, &self.shapes, i).map(|g| {
+            let items = self.fold[i].min(n);
+            GemmShape { m: g.m, k: g.k, n: items * g.hw, fold: self.fold[i] }
+        });
+        OpCost { bytes: self.op_io_bytes(i, n), flops: self.op_flops(i, n), gemm }
     }
 }
 
@@ -994,7 +1101,7 @@ impl Executor {
             }
             if let (Some(p), Some(t0)) = (profiler.as_deref_mut(), op_start) {
                 let kinds = kinds.as_ref().expect("kinds computed when profiling");
-                p.record_op(i, &kinds[i], t0.elapsed().as_nanos() as u64, self.plan.op_io_bytes(i, n));
+                p.record_op(i, &kinds[i], t0.elapsed().as_nanos() as u64, self.plan.op_cost(i, n));
             }
         }
 
@@ -1036,6 +1143,34 @@ impl Executor {
         }
     }
 
+    /// A convolution of either precision: the same folded im2col + fused
+    /// GEMM, with the dtype's kernel.
+    fn exec_conv(&mut self, i: usize, n: usize, dst: &mut [f32]) {
+        let plan = &*self.plan;
+        let weights = &*plan.weights;
+        let slots = &self.state.slots;
+        let geom = ConvGeom::of(&plan.ops, &plan.shapes, i).expect("conv op has a conv geometry");
+        let fold = plan.fold[i];
+        match &plan.ops[i] {
+            PlanOp::Conv2d { x, weight, bias, act, .. } => {
+                let kern = BiasAct { bias: weights.get(*bias), act: *act };
+                let xs = Self::val(slots, plan, *x, n);
+                fold_conv(&kern, weights.get(*weight), xs, &mut self.state.col, &geom, fold, n, dst);
+            }
+            PlanOp::QuantConv2d { x, weight, bias, in_scale, act, .. } => {
+                let kern = DequantBiasAct {
+                    wscales: weights.scales_of(*weight),
+                    in_scale: *in_scale,
+                    bias: weights.get(*bias),
+                    act: *act,
+                };
+                let xs = Self::val_i8(slots, plan, *x, n);
+                fold_conv(&kern, weights.get_i8(*weight), xs, &mut self.state.qcol, &geom, fold, n, dst);
+            }
+            _ => unreachable!("exec_conv runs only convolutions"),
+        }
+    }
+
     fn exec_op(&mut self, i: usize, n: usize, inputs: &[&Tensor], dst: &mut [f32]) {
         let plan = &*self.plan;
         let weights = &*plan.weights;
@@ -1051,55 +1186,7 @@ impl Executor {
                 );
                 dst.copy_from_slice(t.as_slice());
             }
-            PlanOp::Conv2d { x, weight, bias, cout, cin, kh, kw, spec, act } => {
-                let xs = Self::val(slots, plan, *x, n);
-                let weight = weights.get(*weight);
-                let bias = weights.get(*bias);
-                let (h, w) = (plan.shapes[x.0][1], plan.shapes[x.0][2]);
-                let (hout, wout) = (plan.shapes[i][1], plan.shapes[i][2]);
-                let hw = hout * wout;
-                let in_len = cin * h * w;
-                let out_len = cout * hw;
-                let kdim = cin * kh * kw;
-                let pointwise = is_pointwise(*kh, *kw, *spec);
-                for b in 0..n {
-                    let src = &xs[b * in_len..(b + 1) * in_len];
-                    let out = &mut dst[b * out_len..(b + 1) * out_len];
-                    if pointwise {
-                        // k=1, pad=0, stride=1: the column matrix *is* the
-                        // input plane — plain GEMM, no im2col.
-                        conv_gemm(weight, src, out, *cout, kdim, hw, bias, *act);
-                    } else {
-                        let col = &mut self.state.col[..kdim * hw];
-                        im2col(src, (*cin, h, w), (*kh, *kw), *spec, (hout, wout), col);
-                        conv_gemm(weight, col, out, *cout, kdim, hw, bias, *act);
-                    }
-                }
-            }
-            PlanOp::QuantConv2d { x, weight, bias, in_scale, cout, cin, kh, kw, spec, act } => {
-                let xs = Self::val_i8(slots, plan, *x, n);
-                let w_q = weights.get_i8(*weight);
-                let wscales = weights.scales_of(*weight);
-                let bias = weights.get(*bias);
-                let (h, w) = (plan.shapes[x.0][1], plan.shapes[x.0][2]);
-                let (hout, wout) = (plan.shapes[i][1], plan.shapes[i][2]);
-                let hw = hout * wout;
-                let in_len = cin * h * w;
-                let out_len = cout * hw;
-                let kdim = cin * kh * kw;
-                let pointwise = is_pointwise(*kh, *kw, *spec);
-                for b in 0..n {
-                    let src = &xs[b * in_len..(b + 1) * in_len];
-                    let out = &mut dst[b * out_len..(b + 1) * out_len];
-                    if pointwise {
-                        qconv_gemm(w_q, src, out, *cout, kdim, hw, wscales, *in_scale, bias, *act);
-                    } else {
-                        let col = &mut self.state.qcol[..kdim * hw];
-                        im2col(src, (*cin, h, w), (*kh, *kw), *spec, (hout, wout), col);
-                        qconv_gemm(w_q, col, out, *cout, kdim, hw, wscales, *in_scale, bias, *act);
-                    }
-                }
-            }
+            PlanOp::Conv2d { .. } | PlanOp::QuantConv2d { .. } => self.exec_conv(i, n, dst),
             PlanOp::Quantize { .. } => unreachable!("quantize outputs live in i8 slots"),
             PlanOp::ScaleBias { x, scale, shift, act } => {
                 let xs = Self::val(slots, plan, *x, n);
@@ -1181,49 +1268,43 @@ impl Executor {
     }
 }
 
-/// Conv output GEMM with the bias + activation epilogue fused into the tile
-/// writeback. The match monomorphises the hot activations so the epilogue is
-/// a direct call instead of a per-element dispatch; the closures must stay
-/// numerically identical to [`Activation::eval`].
-#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the epilogue
-fn conv_gemm(w: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, bias: &[f32], act: Activation) {
-    match act {
-        Activation::Linear => gemm_bias_act(w, b, out, m, k, n, bias, |v| v),
-        Activation::Mish => gemm_bias_act(w, b, out, m, k, n, bias, mish_f),
-        Activation::Leaky => {
-            gemm_bias_act(w, b, out, m, k, n, bias, |v| if v > 0.0 { v } else { LEAKY_SLOPE * v })
-        }
-        other => gemm_bias_act(w, b, out, m, k, n, bias, move |v| other.eval(v)),
-    }
-}
-
-/// Quantized twin of [`conv_gemm`]: i8 operands, i32 accumulate, and the
-/// dequant+bias+activation epilogue fused into the tile writeback (see
-/// [`crate::qgemm`]). Same monomorphisation of the hot activations.
-#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the epilogue
-fn qconv_gemm(
-    w: &[i8],
-    b: &[i8],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
+/// Run one convolution over `n` batch items, up to `fold` items per GEMM:
+/// each group's column matrices are unfolded side by side into `col` as one
+/// `[k, items·hw]` matrix, and the fused GEMM writes the product straight
+/// into the group's NCHW output planes. A pointwise conv alone in its group
+/// skips the copy — its input plane already is the column matrix.
+#[allow(clippy::too_many_arguments)] // kernel, operands, scratch, geometry
+fn fold_conv<K: FusedKernel>(
+    kern: &K,
+    w: &[K::A],
+    xs: &[K::B],
+    col: &mut [K::B],
+    g: &ConvGeom,
+    fold: usize,
     n: usize,
-    wscales: &[f32],
-    in_scale: f32,
-    bias: &[f32],
-    act: Activation,
-) {
-    match act {
-        Activation::Linear => gemm_i8_dequant_bias_act(w, b, out, m, k, n, wscales, in_scale, bias, |v| v),
-        Activation::Mish => gemm_i8_dequant_bias_act(w, b, out, m, k, n, wscales, in_scale, bias, mish_f),
-        Activation::Leaky => gemm_i8_dequant_bias_act(w, b, out, m, k, n, wscales, in_scale, bias, |v| {
-            if v > 0.0 {
-                v
-            } else {
-                LEAKY_SLOPE * v
+    dst: &mut [f32],
+) where
+    K::B: Default,
+{
+    let in_len = g.cin * g.h * g.w;
+    let out_len = g.m * g.hw;
+    let mut b0 = 0;
+    while b0 < n {
+        let items = fold.min(n - b0);
+        let src = &xs[b0 * in_len..(b0 + items) * in_len];
+        let cols: &[K::B] = if g.pointwise() && items == 1 {
+            src
+        } else {
+            let ld = items * g.hw;
+            let col = &mut col[..g.k * ld];
+            for (item, x) in src.chunks_exact(in_len).enumerate() {
+                im2col(x, (g.cin, g.h, g.w), (g.kh, g.kw), g.spec, (g.hout, g.wout), &mut col[item * g.hw..], ld);
             }
-        }),
-        other => gemm_i8_dequant_bias_act(w, b, out, m, k, n, wscales, in_scale, bias, move |v| other.eval(v)),
+            col
+        };
+        let out = &mut dst[b0 * out_len..(b0 + items) * out_len];
+        gemm_fused(effective_threads(), kern, w, cols, out, g.m, g.k, items * g.hw, g.hw);
+        b0 += items;
     }
 }
 

@@ -1,118 +1,91 @@
-//! INT8 matrix multiplication with i32 accumulate and a fused
-//! dequant+bias+activation epilogue.
+//! The INT8 half of the fused conv GEMM: i8 weights × i8 activations with
+//! i32 accumulation and a dequant+bias+activation epilogue.
 //!
-//! This is the quantized twin of [`crate::gemm::gemm_bias_act`]: `A` is the
-//! per-channel quantized weight matrix (`[m, k]` row-major i8), `B` the
-//! quantized activation column matrix (`[k, n]` i8), and the output is f32 —
-//! each finished i32 accumulator is dequantized
-//! (`acc · in_scale · wscale[row]`), biased, and activated while still in
-//! registers, so the int8 path touches `C` exactly once, like the f32 path.
+//! [`DequantBiasAct`] is a [`FusedKernel`]: `A` is the per-channel quantized
+//! weight matrix (`[m, k]` row-major i8), `B` the quantized activation
+//! column matrix (`[k, n]` i8), and each finished i32 accumulator is
+//! dequantized (`acc · in_scale · wscale[row]`), biased and activated while
+//! still in registers. Tiling, column-panel threading, the narrow tile for
+//! small `n`, batch folding and the writeback all live in the shared driver
+//! [`crate::gemm::gemm_fused`]; this module supplies only the epilogue and
+//! the microkernels — the portable one ([`crate::gemm::portable_tile`]) and
+//! an AVX2 wide tile.
 //!
-//! Threading reuses the f32 kernel's **column-panel** decomposition: each
-//! worker owns a disjoint `[j0, j1)` column range of `C`. Because the
-//! accumulator is an exact integer sum, every decomposition — serial,
-//! panelled, SIMD or scalar — produces the same i32 per element, and the
-//! epilogue performs the identical three f32 ops per element, so results are
-//! **bit-identical for any thread count** and any instruction set.
+//! The accumulator is an exact integer sum, so every decomposition —
+//! serial, panelled, folded, SIMD or scalar — produces the same i32 per
+//! element, and the epilogue performs the identical three f32 ops per
+//! element: results are **bit-identical for any thread count** and any
+//! instruction set.
 //!
-//! The SIMD path (`std::arch`, x86-64) widens i8 to i16 and feeds
+//! The SIMD tile (`std::arch`, x86-64) widens i8 to i16 and feeds
 //! `_mm256_madd_epi16` (AVX2, runtime-detected) with two interleaved B rows
 //! per step: `madd` multiplies 16 i16 pairs and sums adjacent products into
 //! 8 i32 lanes, i.e. two k-steps of 16 columns in a handful of
 //! instructions. Products of two i8 are ≤ 127² = 16129, so the pairwise i16
 //! multiply is exact and the i32 lanes cannot overflow before the add.
 
-use crate::gemm::effective_threads;
-
-/// Column-tile width of the register microkernel (matches the f32 kernel).
-const J_TILE: usize = 16;
-/// Row-tile height of the register microkernel.
-const I_TILE: usize = 4;
-/// Below this many multiply-adds the threading overhead dominates.
-const PAR_THRESHOLD: usize = 1 << 18;
+use crate::gemm::{portable_tile, FusedKernel, I_TILE, J_TILE};
+use crate::nn::Activation;
 
 /// Largest shared dimension the i32 accumulator provably cannot overflow
 /// at: `k · 127 · 127 < 2³¹` leaves headroom up to `k = 2¹⁷`.
-const K_MAX: usize = 1 << 17;
+pub const K_MAX: usize = 1 << 17;
 
-/// `C = act(bias[i] + (A·B) · in_scale · wscale[i])` for i8 `A: [m,k]`,
-/// i8 `B: [k,n]`, f32 `C: [m,n]` (previous contents ignored). Fans out
-/// across [`effective_threads`] workers when the problem is large enough.
-#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the epilogue
-pub fn gemm_i8_dequant_bias_act<F: Fn(f32) -> f32 + Copy + Send + Sync>(
-    a: &[i8],
-    b: &[i8],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    wscales: &[f32],
-    in_scale: f32,
-    bias: &[f32],
-    act: F,
-) {
-    gemm_i8_dequant_bias_act_threads(effective_threads(), a, b, c, m, k, n, wscales, in_scale, bias, act)
+/// The INT8 conv epilogue: `act(acc · in_scale · wscales[row] + bias[row])`
+/// on the exact i32 sum of i8 products.
+#[derive(Clone, Copy, Debug)]
+pub struct DequantBiasAct<'a> {
+    /// Per-output-row weight scales.
+    pub wscales: &'a [f32],
+    /// Activation scale the column matrix was quantized with.
+    pub in_scale: f32,
+    /// One f32 bias per output row, added after dequantization.
+    pub bias: &'a [f32],
+    /// Activation applied at writeback.
+    pub act: Activation,
 }
 
-/// [`gemm_i8_dequant_bias_act`] with an explicit worker count. Parallelism
-/// is over column panels of `C`, exactly like
-/// [`crate::gemm::gemm_bias_act_threads`], and results are bit-identical
-/// for any `threads`.
-#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the epilogue
-pub fn gemm_i8_dequant_bias_act_threads<F: Fn(f32) -> f32 + Copy + Send + Sync>(
-    threads: usize,
-    a: &[i8],
-    b: &[i8],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    wscales: &[f32],
-    in_scale: f32,
-    bias: &[f32],
-    act: F,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    debug_assert_eq!(wscales.len(), m);
-    debug_assert_eq!(bias.len(), m);
-    assert!(k < K_MAX, "i8 GEMM shared dim {k} could overflow the i32 accumulator");
-    // Panel count: never more than the threads asked for, never so many
-    // that a panel is narrower than one register tile.
-    let panels = threads.min(n / J_TILE).max(1);
-    if panels <= 1 || m * k * n < PAR_THRESHOLD {
-        // SAFETY: the pointer covers all of `c` (len m*n) and there is no
-        // other writer.
-        unsafe { qfused_cols(a, b, QColumnsPtr(c.as_mut_ptr()), m, k, n, 0, n, wscales, in_scale, bias, act) };
-        return;
+impl FusedKernel for DequantBiasAct<'_> {
+    type A = i8;
+    type B = i8;
+    type Acc = i32;
+    const K_MAX: usize = K_MAX;
+
+    #[inline(always)]
+    fn init(&self, _row: usize) -> i32 {
+        0
     }
-    // Tile-aligned panel width; the last panel absorbs the remainder
-    // (including the scalar column tail).
-    let per = (n / panels / J_TILE).max(1) * J_TILE;
-    let cptr = QColumnsPtr(c.as_mut_ptr());
-    crossbeam::scope(|scope| {
-        for idx in 0..panels {
-            let j0 = idx * per;
-            let j1 = if idx == panels - 1 { n } else { j0 + per };
-            scope.spawn(move |_| {
-                // SAFETY: panels partition [0, n) disjointly, and
-                // `qfused_cols` writes only columns [j0, j1) of the m×n
-                // matrix behind `cptr`, which outlives the scope.
-                unsafe { qfused_cols(a, b, cptr, m, k, n, j0, j1, wscales, in_scale, bias, act) };
-            });
-        }
-    })
-    .expect("i8 gemm worker panicked");
-}
 
-/// Raw base pointer to C, shared across panel workers. Each worker writes a
-/// disjoint column range, so no element is ever written twice; `Send`/`Sync`
-/// are sound under that discipline (enforced by the single call site).
-#[derive(Clone, Copy)]
-struct QColumnsPtr(*mut f32);
-unsafe impl Send for QColumnsPtr {}
-unsafe impl Sync for QColumnsPtr {}
+    #[inline(always)]
+    fn mac(acc: i32, a: i8, b: i8) -> i32 {
+        acc + a as i32 * b as i32
+    }
+
+    #[inline(always)]
+    fn finish(&self, row: usize, acc: i32) -> f32 {
+        self.act.eval(acc as f32 * (self.in_scale * self.wscales[row]) + self.bias[row])
+    }
+
+    fn wide_tile(
+        &self,
+        a: &[i8],
+        b: &[i8],
+        k: usize,
+        n: usize,
+        i0: usize,
+        ib: usize,
+        j: usize,
+        acc: &mut [[i32; J_TILE]; I_TILE],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            // SAFETY: AVX2 was detected at runtime just above.
+            unsafe { qtile_avx2(a, b, k, n, i0, ib, j, acc) };
+            return;
+        }
+        portable_tile::<Self>(a, b, k, n, i0, ib, j, acc)
+    }
+}
 
 /// Whether the AVX2 tile kernel may be dispatched, resolved once per
 /// process. The scalar kernel computes the identical i32 sums, so this is a
@@ -125,90 +98,6 @@ fn avx2_available() -> bool {
     }
     #[cfg(not(target_arch = "x86_64"))]
     false
-}
-
-/// Compute columns `[j0, j1)` of `C` across all `m` rows: integer tile
-/// accumulation, then the dequant+bias+act epilogue at writeback.
-///
-/// # Safety
-/// `c` must point to an `m`×`n` row-major matrix valid for writes, and no
-/// other thread may concurrently touch columns `[j0, j1)` of it.
-#[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the epilogue
-unsafe fn qfused_cols<F: Fn(f32) -> f32 + Copy>(
-    a: &[i8],
-    b: &[i8],
-    c: QColumnsPtr,
-    m: usize,
-    k: usize,
-    n: usize,
-    j0: usize,
-    j1: usize,
-    wscales: &[f32],
-    in_scale: f32,
-    bias: &[f32],
-    act: F,
-) {
-    let use_avx2 = avx2_available();
-    let mut i = 0;
-    while i < m {
-        let ib = I_TILE.min(m - i);
-        let mut j = j0;
-        while j + J_TILE <= j1 {
-            let mut acc = [[0i32; J_TILE]; I_TILE];
-            #[cfg(target_arch = "x86_64")]
-            if use_avx2 {
-                qtile_avx2(a, b, k, n, i, ib, j, &mut acc);
-            } else {
-                qtile_scalar(a, b, k, n, i, ib, j, &mut acc);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                let _ = use_avx2;
-                qtile_scalar(a, b, k, n, i, ib, j, &mut acc);
-            }
-            for ii in 0..ib {
-                let deq = in_scale * wscales[i + ii];
-                let bv = bias[i + ii];
-                let base = (i + ii) * n + j;
-                for (t, &sum) in acc[ii].iter().enumerate() {
-                    c.0.add(base + t).write(act(sum as f32 * deq + bv));
-                }
-            }
-            j += J_TILE;
-        }
-        // Scalar tail for the last (j1 - j0) % J_TILE columns.
-        for ii in 0..ib {
-            let arow = &a[(i + ii) * k..(i + ii + 1) * k];
-            let deq = in_scale * wscales[i + ii];
-            let bv = bias[i + ii];
-            for jj in j..j1 {
-                let mut acc = 0i32;
-                for (p, &av) in arow.iter().enumerate() {
-                    acc += av as i32 * b[p * n + jj] as i32;
-                }
-                c.0.add((i + ii) * n + jj).write(act(acc as f32 * deq + bv));
-            }
-        }
-        i += ib;
-    }
-}
-
-/// Portable integer tile: `acc[ii][t] += A[i0+ii, p] · B[p, j+t]` over all
-/// `p`. Exact i32 sums — the reference the SIMD path must (and does) match
-/// bit for bit.
-#[allow(clippy::too_many_arguments)] // flat GEMM geometry: strides and tile origin
-#[allow(clippy::needless_range_loop)] // p walks A rows and B rows in lockstep
-fn qtile_scalar(a: &[i8], b: &[i8], k: usize, n: usize, i0: usize, ib: usize, j: usize, acc: &mut [[i32; J_TILE]; I_TILE]) {
-    for p in 0..k {
-        let off = p * n + j;
-        let bt: &[i8] = &b[off..off + J_TILE];
-        for ii in 0..ib {
-            let av = a[(i0 + ii) * k + p] as i32;
-            for t in 0..J_TILE {
-                acc[ii][t] += av * bt[t] as i32;
-            }
-        }
-    }
 }
 
 /// AVX2 tile kernel: two B rows are widened to i16 and interleaved so one
@@ -273,107 +162,41 @@ unsafe fn qtile_avx2(a: &[i8], b: &[i8], k: usize, n: usize, i0: usize, ib: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::gemm_fused;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
-
-    #[allow(clippy::too_many_arguments)]
-    fn naive(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, ws: &[f32], s: f32, bias: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i64;
-                for p in 0..k {
-                    acc += a[i * k + p] as i64 * b[p * n + j] as i64;
-                }
-                out[i * n + j] = acc as f32 * (s * ws[i]) + bias[i];
-            }
-        }
-        out
-    }
 
     fn rand_i8(len: usize, rng: &mut StdRng) -> Vec<i8> {
         (0..len).map(|_| rng.random_range(-127i32..=127) as i8).collect()
     }
 
     #[test]
-    fn matches_naive_with_epilogue() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for &(m, k, n) in &[(1usize, 1usize, 1usize), (3, 5, 2), (5, 9, 35), (4, 8, 16), (7, 33, 50)] {
-            let a = rand_i8(m * k, &mut rng);
-            let b = rand_i8(k * n, &mut rng);
-            let ws: Vec<f32> = (0..m).map(|i| 0.01 + i as f32 * 0.003).collect();
-            let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.25 - 0.5).collect();
-            let mut c = vec![f32::NAN; m * n]; // previous contents must be ignored
-            gemm_i8_dequant_bias_act(&a, &b, &mut c, m, k, n, &ws, 0.02, &bias, |v| v.max(0.0));
-            let plain = naive(&a, &b, m, k, n, &ws, 0.02, &bias);
-            for (idx, (&got, &want)) in c.iter().zip(&plain).enumerate() {
-                let want = want.max(0.0);
-                assert!((got - want).abs() <= 1e-4 * want.abs().max(1.0), "({m},{k},{n})[{idx}]: {got} vs {want}");
-            }
-        }
-    }
-
-    #[test]
-    fn extreme_values_do_not_overflow_the_accumulator() {
-        // All-saturated operands at a deep k: |acc| = k·127², the worst case
-        // the K_MAX guard promises is safe.
-        let (m, k, n) = (2usize, 4096usize, 17usize);
-        let a = vec![127i8; m * k];
-        let b = vec![-127i8; k * n];
-        let mut c = vec![0.0f32; m * n];
-        gemm_i8_dequant_bias_act(&a, &b, &mut c, m, k, n, &[1.0; 2], 1.0, &[0.0; 2], |v| v);
-        let want = -(k as f64 * 127.0 * 127.0);
-        for &v in &c {
-            assert_eq!(v as f64, want);
-        }
-    }
-
-    #[test]
-    fn bit_identical_across_thread_counts() {
-        // Same contract as the f32 kernel: panel decomposition must not
-        // change any element. Shapes exercise tile interiors, scalar column
-        // tails, odd k (the SIMD path's scalar k-tail), and narrow n.
-        let mut rng = StdRng::seed_from_u64(2);
-        for &(m, k, n) in &[(4usize, 160usize, 640usize), (3, 97, 1000), (8, 512, 257), (2, 7, 33), (5, 64, 16)] {
-            let a = rand_i8(m * k, &mut rng);
-            let b = rand_i8(k * n, &mut rng);
-            let ws: Vec<f32> = (0..m).map(|i| 0.004 * (i + 1) as f32).collect();
-            let bias: Vec<f32> = (0..m).map(|i| (i as f32).sin()).collect();
-            let mut want = vec![0.0f32; m * n];
-            gemm_i8_dequant_bias_act_threads(1, &a, &b, &mut want, m, k, n, &ws, 0.03, &bias, crate::ops::elementwise::mish_f);
-            for threads in [2usize, 3, 5, 64] {
-                let mut got = vec![f32::NAN; m * n];
-                gemm_i8_dequant_bias_act_threads(threads, &a, &b, &mut got, m, k, n, &ws, 0.03, &bias, crate::ops::elementwise::mish_f);
-                assert_eq!(got, want, "({m},{k},{n}) threads={threads} must be bit-identical");
-            }
-        }
-    }
-
-    #[test]
-    fn simd_and_scalar_tiles_agree_exactly() {
+    fn simd_and_portable_tiles_agree_exactly() {
         // Force both tile kernels over the same operands; integer
         // accumulation means "close" is not enough — they must be equal.
         let mut rng = StdRng::seed_from_u64(3);
         let (k, n) = (37usize, 48usize);
         let a = rand_i8(I_TILE * k, &mut rng);
         let b = rand_i8(k * n, &mut rng);
-        let mut scalar = [[0i32; J_TILE]; I_TILE];
-        qtile_scalar(&a, &b, k, n, 0, I_TILE, 16, &mut scalar);
+        let mut portable = [[0i32; J_TILE]; I_TILE];
+        portable_tile::<DequantBiasAct>(&a, &b, k, n, 0, I_TILE, 16, &mut portable);
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             let mut simd = [[0i32; J_TILE]; I_TILE];
+            // SAFETY: AVX2 was detected just above.
             unsafe { qtile_avx2(&a, &b, k, n, 0, I_TILE, 16, &mut simd) };
-            assert_eq!(simd, scalar, "AVX2 tile must reproduce the scalar i32 sums exactly");
+            assert_eq!(simd, portable, "AVX2 tile must reproduce the portable i32 sums exactly");
         }
     }
 
     #[test]
-    #[should_panic(expected = "overflow the i32 accumulator")]
+    #[should_panic(expected = "could overflow the accumulator")]
     fn rejects_unsafely_deep_k() {
         let k = K_MAX;
         let a = vec![0i8; k];
         let b = vec![0i8; k];
         let mut c = vec![0.0f32; 1];
-        gemm_i8_dequant_bias_act(&a, &b, &mut c, 1, k, 1, &[1.0], 1.0, &[0.0], |v| v);
+        let kern = DequantBiasAct { wscales: &[1.0], in_scale: 1.0, bias: &[0.0], act: Activation::Linear };
+        gemm_fused(1, &kern, &a, &b, &mut c, 1, k, 1, 1);
     }
 }

@@ -17,7 +17,7 @@
 //!   is the legal "fold quant into neighbours" rewrite.
 //! - **Dequantization is never an op.** Each `QuantConv2d` dequantizes its
 //!   i32 accumulators inside the GEMM epilogue
-//!   ([`crate::qgemm::gemm_i8_dequant_bias_act`]), where the bias add and
+//!   ([`crate::qgemm::DequantBiasAct`]), where the bias add and
 //!   activation already live, so the int8 path touches its f32 output
 //!   exactly once.
 //!

@@ -1,0 +1,144 @@
+//! Kernel grid: every path of the fused GEMM driver against a naive
+//! reference, for both dtypes, bit for bit.
+//!
+//! `gemm_fused` picks its path from the shape alone: wide register tiles
+//! for whole `J_TILE` column blocks, the narrow row-vectorised tile for the
+//! rest (all of it when `n < J_TILE`), column panels when more than one
+//! thread is asked for and the product is large, and batch folding when
+//! `hw < n` spreads the columns over several NCHW output planes. The grid
+//! below walks `n` through every residue around the tile width, `m`
+//! through sub-tile, odd (45 is the YOLO head's channel count) and large
+//! row counts, and `k` from 1 to a 128-channel 3×3 conv — so each path
+//! meets its degenerate shapes. The reference accumulates each element
+//! from its start value in ascending `k` with plain `+=`, which is the
+//! order the driver promises; equality is therefore exact, not a
+//! tolerance, and must hold at 1, 2 and 5 threads.
+
+use platter_tensor::gemm::{gemm_fused, BiasAct, J_TILE};
+use platter_tensor::nn::Activation;
+use platter_tensor::qgemm::{DequantBiasAct, K_MAX};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+const MS: [usize; 4] = [1, 3, 45, 256];
+const KS: [usize; 3] = [1, 9, 1152];
+const THREADS: [usize; 3] = [1, 2, 5];
+
+/// Every `n` the grid visits: `1..=2·J_TILE`, plus two wider products so
+/// 5 threads really split into several column panels with a narrow tail.
+fn ns() -> Vec<usize> {
+    (1..=2 * J_TILE).chain([47, 100]).collect()
+}
+
+/// Fold geometries for `n` columns: every `hw` that divides `n` (`hw = n`
+/// is the plain per-item product, `hw < n` folds `n / hw` items).
+fn hws(n: usize) -> Vec<usize> {
+    (1..=n).filter(|&hw| n.is_multiple_of(hw)).collect()
+}
+
+/// Move a row-major `[m, n]` product into the folded NCHW layout: column
+/// `j` is pixel `j % hw` of item `j / hw`.
+fn fold_layout(plain: &[f32], m: usize, n: usize, hw: usize) -> Vec<f32> {
+    let mut out = vec![f32::NAN; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            out[(j / hw) * m * hw + i * hw + j % hw] = plain[i * n + j];
+        }
+    }
+    out
+}
+
+fn rand_f32(len: usize, rng: &mut StdRng) -> Vec<f32> {
+    (0..len).map(|_| rng.random_range(-1.0f32..1.0)).collect()
+}
+
+fn rand_i8(len: usize, rng: &mut StdRng) -> Vec<i8> {
+    (0..len).map(|_| rng.random_range(-127i32..=127) as i8).collect()
+}
+
+/// Run the driver over every fold geometry and thread count of one shape
+/// and compare with `want` (the row-major reference) bit for bit.
+fn check_all_paths(label: &str, m: usize, k: usize, n: usize, want: &[f32], run: impl Fn(usize, &mut [f32], usize)) {
+    for hw in hws(n) {
+        let want = fold_layout(want, m, n, hw);
+        for threads in THREADS {
+            let mut got = vec![f32::NAN; m * n]; // previous contents must be ignored
+            run(threads, &mut got, hw);
+            let same = got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "{label} m={m} k={k} n={n} hw={hw} threads={threads}: differs from the reference");
+        }
+    }
+}
+
+#[test]
+fn f32_driver_matches_reference_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(1);
+    for m in MS {
+        for k in KS {
+            for n in ns() {
+                let a = rand_f32(m * k, &mut rng);
+                let b = rand_f32(k * n, &mut rng);
+                let bias = rand_f32(m, &mut rng);
+                let act = Activation::Mish;
+                let mut want = vec![0.0f32; m * n];
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = bias[i];
+                        for p in 0..k {
+                            acc += a[i * k + p] * b[p * n + j];
+                        }
+                        want[i * n + j] = act.eval(acc);
+                    }
+                }
+                let kern = BiasAct { bias: &bias, act };
+                check_all_paths("f32", m, k, n, &want, |threads, c, hw| {
+                    gemm_fused(threads, &kern, &a, &b, c, m, k, n, hw)
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn i8_driver_matches_reference_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(2);
+    for m in MS {
+        for k in KS {
+            for n in ns() {
+                let a = rand_i8(m * k, &mut rng);
+                let b = rand_i8(k * n, &mut rng);
+                let wscales: Vec<f32> = (0..m).map(|i| 0.002 + 0.0001 * i as f32).collect();
+                let bias = rand_f32(m, &mut rng);
+                let (in_scale, act) = (0.03f32, Activation::Leaky);
+                let mut want = vec![0.0f32; m * n];
+                for i in 0..m {
+                    for j in 0..n {
+                        let sum: i64 = (0..k).map(|p| a[i * k + p] as i64 * b[p * n + j] as i64).sum();
+                        want[i * n + j] = act.eval(sum as f32 * (in_scale * wscales[i]) + bias[i]);
+                    }
+                }
+                let kern = DequantBiasAct { wscales: &wscales, in_scale, bias: &bias, act };
+                check_all_paths("i8", m, k, n, &want, |threads, c, hw| {
+                    gemm_fused(threads, &kern, &a, &b, c, m, k, n, hw)
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn i8_deepest_allowed_k_stays_exact() {
+    // All-saturated operands at the deepest k the overflow guard admits:
+    // |acc| = k·127² just under 2³¹, on the narrow and the wide tile.
+    let (m, k) = (3usize, K_MAX - 1);
+    let a = vec![127i8; m * k];
+    let want = -(k as f64 * 127.0 * 127.0);
+    assert!(want > i32::MIN as f64, "the guard must keep the worst case inside i32");
+    let kern = DequantBiasAct { wscales: &[1.0; 3], in_scale: 1.0, bias: &[0.0; 3], act: Activation::Linear };
+    for n in [1usize, 5, J_TILE + 1] {
+        let b = vec![-127i8; k * n];
+        let mut c = vec![0.0f32; m * n];
+        gemm_fused(1, &kern, &a, &b, &mut c, m, k, n, n);
+        assert!(c.iter().all(|&v| v == want as f32), "n={n}: saturated sum must be exact");
+    }
+}

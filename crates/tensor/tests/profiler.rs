@@ -4,7 +4,7 @@
 //! disabled path (plain `run`) leaves the plan — and therefore the fast
 //! path — completely untouched.
 
-use platter_obs::{ProfileReport, Profiler};
+use platter_obs::{OpCost, ProfileReport, Profiler};
 use platter_tensor::nn::{Activation, ConvBlock};
 use platter_tensor::{Conv2dSpec, Executor, Mode, Planner, Tensor};
 use rand::rngs::StdRng;
@@ -47,7 +47,7 @@ fn profiled_outputs_are_bit_identical_to_unprofiled() {
 fn sink_sees_every_op_with_its_plan_kind() {
     struct Recorder(Vec<(usize, String)>);
     impl Profiler for Recorder {
-        fn record_op(&mut self, step: usize, kind: &str, _nanos: u64, _bytes: u64) {
+        fn record_op(&mut self, step: usize, kind: &str, _nanos: u64, _cost: OpCost) {
             self.0.push((step, kind.to_string()));
         }
         fn record_run(&mut self, _nanos: u64) {}
@@ -100,4 +100,31 @@ fn disabled_profiling_leaves_the_plan_unchanged() {
     assert_eq!(exec.plan().op_kinds(), kinds_before, "no ops added or rewritten");
     assert_eq!(exec.plan().num_values(), values);
     assert_eq!(exec.plan().num_slots(), slots);
+}
+
+#[test]
+fn sink_receives_flops_and_gemm_shapes() {
+    // conv a: 3→8 channels, 3×3 over 16×16; conv b: 8→8, 3×3 over 16×16.
+    let per_item = [2 * 8 * 27 * 256u64, 2 * 8 * 72 * 256];
+    let mut exec = build_exec();
+    let convs: Vec<usize> =
+        exec.plan().op_kinds().iter().enumerate().filter(|(_, k)| k.starts_with("conv")).map(|(i, _)| i).collect();
+    assert_eq!(convs.len(), 2);
+    for (&step, &flops) in convs.iter().zip(&per_item) {
+        for n in [1usize, 2, 8] {
+            assert_eq!(exec.plan().op_flops(step, n), flops * n as u64, "step {step} at batch {n}");
+        }
+    }
+
+    let mut profile = ProfileReport::new();
+    let _ = exec.run_profiled(&[&input(5)], &mut profile); // batch 2
+    for (&step, (&flops, k)) in convs.iter().zip(per_item.iter().zip([27usize, 72])) {
+        let s = &profile.steps()[step];
+        assert_eq!(s.stat.flops, 2 * flops);
+        let g = s.gemm.expect("conv steps carry their GEMM shape");
+        assert_eq!((g.m, g.k), (8, k));
+        assert_eq!(g.n, g.fold.min(2) * 256, "one GEMM covers min(fold, batch) items");
+    }
+    assert!(profile.steps()[0].gemm.is_none(), "the input op runs no GEMM");
+    assert!(profile.to_json().contains("\"gflops\""));
 }

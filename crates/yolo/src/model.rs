@@ -277,6 +277,37 @@ mod tests {
     use super::*;
 
     #[test]
+    fn micro_conv_flops_are_two_per_multiply_add_and_scale_with_batch() {
+        let engine = Yolov4::new(YoloConfig::micro(10), 7).compile_inference();
+        let plan = engine.plan();
+        let mut profile = platter_obs::ProfileReport::new();
+        let mut engine = engine.fork_worker();
+        let _ = engine.run_profiled(&Tensor::zeros(&[1, 3, 64, 64]), &mut profile);
+        let convs: Vec<usize> = plan
+            .op_kinds()
+            .iter()
+            .enumerate()
+            .filter(|(_, k)| k.starts_with("conv"))
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(convs.len(), 74);
+        // At batch 1 every conv GEMM is one item wide, so n = hw.
+        let two_mkhw: u64 = convs
+            .iter()
+            .map(|&i| {
+                let g = profile.steps()[i].gemm.expect("conv step has a GEMM shape");
+                2 * (g.m * g.k * g.n) as u64
+            })
+            .sum();
+        let flops: u64 = convs.iter().map(|&i| plan.op_flops(i, 1)).sum();
+        assert_eq!(flops, two_mkhw);
+        assert_eq!(flops, 63_625_216, "≈ 0.064 GFLOP per 64 px image");
+        for n in [2usize, 8] {
+            assert_eq!(convs.iter().map(|&i| plan.op_flops(i, n)).sum::<u64>(), flops * n as u64);
+        }
+    }
+
+    #[test]
     fn forward_shapes_for_micro() {
         let model = Yolov4::new(YoloConfig::micro(10), 7);
         let out = model.infer(&Tensor::zeros(&[1, 3, 64, 64]));

@@ -81,6 +81,12 @@ echo "== eager vs compiled parity (YOLOv4 + baselines) =="
 cargo test -q --release -p platter-yolo --test parity
 cargo test -q --release -p platter-baselines --test parity
 
+echo "== fused GEMM kernel grid (every driver path vs a naive reference, f32 + i8) =="
+cargo test -q --release -p platter-tensor --test kernel_grid
+
+echo "== batch-fold parity (batch-n forward == n batch-1 forwards, micro/nano/SSD) =="
+cargo test -q --release -p platter-baselines --test fold_parity
+
 echo "== quantized vs f32 parity (loosened bounds) + quantizer property suite =="
 cargo test -q --release -p platter-yolo --test quant_parity
 cargo test -q --release -p platter-tensor --test prop_quant
