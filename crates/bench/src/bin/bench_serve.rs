@@ -253,7 +253,9 @@ fn swap_under_load(model: &Yolov4, x: &Tensor, swaps: u64, submitters: usize) ->
     for key in &keys {
         std::thread::sleep(Duration::from_millis(5));
         let s = pool.stats();
-        max_inflight = max_inflight.max(s.accepted - s.completed);
+        // The snapshot reads independent counters, so a completion can be
+        // seen before its admission is.
+        max_inflight = max_inflight.max(s.accepted.saturating_sub(s.completed));
         let t = Instant::now();
         registry.hot_swap(&pool, key).expect("swap");
         swap_secs.push(t.elapsed().as_secs_f64());

@@ -60,6 +60,31 @@
 //! }
 //! ```
 //!
+//! ## Example: one request with options
+//!
+//! Options — a deadline, test-time augmentation, a routed model — go on
+//! one [`Request`] and through one [`ServePool::submit`].
+//!
+//! ```
+//! use std::time::{Duration, Instant};
+//!
+//! use platter_imaging::{Image, Rgb};
+//! use platter_serve::{Request, ServeConfig, ServeError, ServePool};
+//! use platter_yolo::{YoloConfig, Yolov4};
+//!
+//! fn main() -> Result<(), ServeError> {
+//!     let model = Yolov4::new(YoloConfig::micro(10), 42);
+//!     let pool = ServePool::new(&model, ServeConfig::new(1));
+//!     let image = Image::new(100, 60, Rgb::new(0.4, 0.3, 0.2));
+//!     let deadline = Instant::now() + Duration::from_secs(10);
+//!     let request = Request::image(&image).deadline(Some(deadline)).tta();
+//!     let detections = pool.submit(request)?.wait()?;
+//!     assert!(detections.iter().all(|d| d.bbox.is_valid()));
+//!     pool.shutdown();
+//!     Ok(())
+//! }
+//! ```
+//!
 //! ## Example: a stream session
 //!
 //! ```
@@ -94,8 +119,7 @@ pub use error::ServeError;
 pub use fault::{ServeFault, ServeFaultPlan};
 pub use platter_yolo::{SortTracker, Track, TrackConfig, TtaConfig};
 pub use pool::{
-    Pending, PendingFrame, ServeConfig, ServePool, ServeStats, SessionId, ShadowStatus,
-    TrackedFrame,
+    Pending, Request, ServeConfig, ServePool, ServeStats, SessionId, ShadowStatus, TrackedFrame,
 };
 pub use registry::{
     CanaryConfig, CanaryDecision, ModelInfo, ModelRegistry, ModelState, RegistryConfig,

@@ -38,7 +38,7 @@
 //!   request is dropped, and the retired plan's weights are freed once the
 //!   last fork is gone.
 //! * **Routing and shadowing** — requests may target a named model
-//!   ([`ServePool::submit_image_to`]) registered alongside the default,
+//!   ([`Request::route`]) registered alongside the default,
 //!   and a shadow model can mirror a deterministic fraction of default
 //!   traffic, its detections diffed bit-exactly into metrics without ever
 //!   touching a response or the breaker.
@@ -113,8 +113,8 @@ pub struct ServeConfig {
     pub nms_iou: f32,
     /// NMS flavour.
     pub nms_kind: NmsKind,
-    /// View recipe used by TTA submissions ([`ServePool::submit_image_tta`]
-    /// and friends); plain submissions ignore it.
+    /// View recipe used by TTA requests ([`Request::tta`]); plain requests
+    /// ignore it.
     pub tta: TtaConfig,
     /// Name of the model the pool is constructed with (labels its metrics
     /// as `serve.model.{name}-v{version}.*` and keys it in the registry).
@@ -198,7 +198,8 @@ enum DeadlineSpec {
 }
 
 /// Build a job, stamping `submitted` and resolving the deadline from one
-/// `Instant::now()` read. This is the only place deadlines are stamped.
+/// `Instant::now()` read. This is the only place a `Job` is built and the
+/// only place deadlines are stamped (`scripts/verify.sh` gates the former).
 fn make_job(
     cfg: &ServeConfig,
     x: Tensor,
@@ -216,30 +217,77 @@ fn make_job(
     Job { x, map, deadline, submitted: now, tta, route, reply }
 }
 
-/// Handle to an admitted request's eventual answer.
-#[derive(Debug)]
-pub struct Pending {
-    rx: Receiver<Result<Vec<Detection>, ServeError>>,
+/// What a [`Request`] carries into the pool.
+#[derive(Clone, Copy, Debug)]
+enum Input<'a> {
+    Image(&'a Image),
+    Tensor(&'a Tensor),
 }
 
-impl Pending {
-    /// Block until the request is answered. A pool torn down with the
-    /// request still queued answers [`ServeError::ShuttingDown`].
-    pub fn wait(self) -> Result<Vec<Detection>, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+/// One detection request: an input plus its options, submitted with
+/// [`ServePool::submit`]. Every option combination takes the same path —
+/// one sanitization, one deadline stamp, one admission check.
+#[derive(Clone, Copy, Debug)]
+pub struct Request<'a> {
+    input: Input<'a>,
+    deadline: DeadlineSpec,
+    tta: bool,
+    route: Option<&'a str>,
+}
+
+impl<'a> Request<'a> {
+    fn new(input: Input<'a>) -> Request<'a> {
+        Request { input, deadline: DeadlineSpec::Default, tta: false, route: None }
+    }
+
+    /// Detect on a source image; detections come back in its coordinates.
+    pub fn image(image: &'a Image) -> Request<'a> {
+        Request::new(Input::Image(image))
+    }
+
+    /// Detect on an already-preprocessed `[3, s, s]` tensor; detections
+    /// come back in letterboxed coordinates.
+    pub fn tensor(x: &'a Tensor) -> Request<'a> {
+        Request::new(Input::Tensor(x))
+    }
+
+    /// Require execution to start before `deadline`, replacing
+    /// [`ServeConfig::default_deadline`]. `None` means no deadline at all —
+    /// it never falls back to the default.
+    pub fn deadline(mut self, deadline: Option<Instant>) -> Request<'a> {
+        self.deadline = DeadlineSpec::Explicit(deadline);
+        self
+    }
+
+    /// Serve with test-time augmentation (the configured
+    /// [`ServeConfig::tta`] views). Sanitization and admission are the
+    /// same as for a plain request — TTA buys recall, not a side door.
+    pub fn tta(mut self) -> Request<'a> {
+        self.tta = true;
+        self
+    }
+
+    /// Pin the request to the routed model `model` (a registry key exposed
+    /// via [`ModelRegistry::route`](crate::ModelRegistry::route)). Unknown
+    /// keys answer [`ServeError::UnknownModel`] at the door; a routed
+    /// request keeps its model even across live-slot swaps.
+    pub fn route(mut self, model: &'a str) -> Request<'a> {
+        self.route = Some(model);
+        self
     }
 }
 
-/// Handle to a session frame's eventual answer.
+/// Handle to an admitted request's eventual answer: detections for
+/// [`ServePool::submit`], a [`TrackedFrame`] for [`ServePool::submit_frame`].
 #[derive(Debug)]
-pub struct PendingFrame {
-    rx: Receiver<Result<TrackedFrame, ServeError>>,
+pub struct Pending<T = Vec<Detection>> {
+    rx: Receiver<Result<T, ServeError>>,
 }
 
-impl PendingFrame {
-    /// Block until the frame is answered. A pool torn down with the frame
-    /// still queued answers [`ServeError::ShuttingDown`].
-    pub fn wait(self) -> Result<TrackedFrame, ServeError> {
+impl<T> Pending<T> {
+    /// Block until the request is answered. A pool torn down with the
+    /// request still queued answers [`ServeError::ShuttingDown`].
+    pub fn wait(self) -> Result<T, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
     }
 }
@@ -332,41 +380,38 @@ pub struct ServeStats {
     pub swaps: u64,
 }
 
-#[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    rejected_full: AtomicU64,
-    rejected_bad_input: AtomicU64,
-    completed: AtomicU64,
-    deadline_dropped: AtomicU64,
-    worker_panics: AtomicU64,
-    corrupt_outputs: AtomicU64,
-    compiled_batches: AtomicU64,
-    eager_batches: AtomicU64,
-    swaps: AtomicU64,
-}
-
 /// Observability handles registered in the pool-owned [`MetricsRegistry`].
-/// The histograms answer the questions the monotonic [`ServeStats`]
-/// counters cannot: how deep does the queue actually get, how well do
-/// batches coalesce, and what latency do requests see end to end.
+/// Every pool event is recorded here exactly once; [`ServePool::stats`] is
+/// a read of these handles, not a second set of counters.
 struct ServeMetrics {
     registry: Arc<MetricsRegistry>,
-    /// Queue depth sampled after every admission.
+    /// Queue depth (queued plus session-buffered, this request included)
+    /// sampled once per admitted request.
     queue_depth: Arc<Histogram>,
     /// Jobs per executed batch (after the deadline cull).
     batch_size: Arc<Histogram>,
     /// Admission-to-answer latency of completed requests, milliseconds.
+    /// Its sample count is the completed-request count.
     latency_ms: Arc<Histogram>,
     /// Queue wait of deadline-culled requests, milliseconds. Culled jobs
     /// never reach `latency_ms` (they have no answer latency), which made
     /// p50/p99 read optimistic exactly when the pool was overloaded; this
     /// histogram is where that tail lives.
     culled_wait_ms: Arc<Histogram>,
+    /// Requests admitted (queued or session-buffered).
+    accepted: Arc<Counter>,
     /// Requests shed at admission (queue full).
     sheds: Arc<Counter>,
     /// Requests dropped because their deadline passed before execution.
     deadline_misses: Arc<Counter>,
+    /// Execution attempts that panicked (contained by `catch_unwind`) or
+    /// produced non-finite outputs.
+    worker_panics: Arc<Counter>,
+    corrupt_outputs: Arc<Counter>,
+    /// Batches answered by the compiled engine (probes included) and by the
+    /// eager fallback.
+    compiled_batches: Arc<Counter>,
+    eager_batches: Arc<Counter>,
     /// Breaker state transitions (healthy → degraded and back).
     breaker_transitions: Arc<Counter>,
     /// Sanitization refusals, by reason: non-finite pixels…
@@ -410,8 +455,13 @@ impl ServeMetrics {
             batch_size: registry.histogram("serve.batch_size", &exp_bounds(1.0, 2.0, 7)),
             latency_ms: registry.histogram("serve.latency_ms", &exp_bounds(0.25, 2.0, 16)),
             culled_wait_ms: registry.histogram("serve.culled_wait_ms", &exp_bounds(0.25, 2.0, 16)),
+            accepted: registry.counter("serve.accepted"),
             sheds: registry.counter("serve.sheds"),
             deadline_misses: registry.counter("serve.deadline_misses"),
+            worker_panics: registry.counter("serve.worker_panics"),
+            corrupt_outputs: registry.counter("serve.corrupt_outputs"),
+            compiled_batches: registry.counter("serve.compiled_batches"),
+            eager_batches: registry.counter("serve.eager_batches"),
             breaker_transitions: registry.counter("serve.breaker_transitions"),
             sanitize_nonfinite: registry.counter("serve.sanitize.nonfinite"),
             sanitize_badshape: registry.counter("serve.sanitize.badshape"),
@@ -439,6 +489,22 @@ impl ServeMetrics {
             crate::sanitize::InputError::NonFinite { .. } => self.sanitize_nonfinite.inc(),
             crate::sanitize::InputError::BadShape { .. } => self.sanitize_badshape.inc(),
             crate::sanitize::InputError::BadDims { .. } => self.sanitize_baddims.inc(),
+        }
+    }
+
+    /// Count a failed execution attempt by kind.
+    fn on_exec_failure(&self, failure: &ExecFailure) {
+        match failure {
+            ExecFailure::Panic(_) => self.worker_panics.inc(),
+            ExecFailure::NonFinite => self.corrupt_outputs.inc(),
+        }
+    }
+
+    /// Count a batch answered on `path`.
+    fn on_answered(&self, path: ExecPath) {
+        match path {
+            ExecPath::Eager => self.eager_batches.inc(),
+            ExecPath::Compiled | ExecPath::Probe => self.compiled_batches.inc(),
         }
     }
 
@@ -543,7 +609,6 @@ struct Shared {
     faults: Mutex<ServeFaultPlan>,
     batch_seq: AtomicU64,
     submit_seq: AtomicU64,
-    stats: Counters,
     metrics: ServeMetrics,
 }
 
@@ -584,7 +649,6 @@ impl ServePool {
             faults: Mutex::new(faults),
             batch_seq: AtomicU64::new(0),
             submit_seq: AtomicU64::new(0),
-            stats: Counters::default(),
             metrics: ServeMetrics::new(cfg.queue_capacity, cfg.workers),
             cfg,
         });
@@ -600,116 +664,61 @@ impl ServePool {
         ServePool { shared, workers: Mutex::new(workers) }
     }
 
+    /// Submit a request. The door runs in a fixed order: route resolution
+    /// (an unknown key answers [`ServeError::UnknownModel`] before anything
+    /// else), sanitization and letterboxing, deadline stamping, then
+    /// admission control.
+    pub fn submit(&self, req: Request<'_>) -> Result<Pending, ServeError> {
+        let route = req.route.map(|model| self.resolve_route(model)).transpose()?;
+        let (x, map) = self.prepare(req.input)?;
+        let (tx, rx) = mpsc::sync_channel(1);
+        let job = make_job(&self.shared.cfg, x, map, req.deadline, req.tta, route, Reply::Dets(tx));
+        admit(&self.shared, || Ok(Some(job)))?;
+        Ok(Pending { rx })
+    }
+
     /// Submit an image with the configured default deadline.
     pub fn submit_image(&self, image: &Image) -> Result<Pending, ServeError> {
-        self.submit_image_inner(image, DeadlineSpec::Default, false, None)
-    }
-
-    /// Submit an image that must start executing before `deadline`.
-    pub fn submit_image_with_deadline(
-        &self,
-        image: &Image,
-        deadline: Option<Instant>,
-    ) -> Result<Pending, ServeError> {
-        self.submit_image_inner(image, DeadlineSpec::Explicit(deadline), false, None)
-    }
-
-    /// Submit an image to be served with test-time augmentation (the
-    /// configured [`ServeConfig::tta`] views). The request goes through the
-    /// exact same sanitization and admission control as a plain submission —
-    /// TTA buys recall on degraded inputs, not a side door.
-    pub fn submit_image_tta(&self, image: &Image) -> Result<Pending, ServeError> {
-        self.submit_image_inner(image, DeadlineSpec::Default, true, None)
-    }
-
-    /// Submit an image pinned to the routed model `model` (a registry key
-    /// exposed via [`ModelRegistry::route`](crate::ModelRegistry::route)).
-    /// Unknown keys answer [`ServeError::UnknownModel`] at the door; a
-    /// routed request keeps its model even across live-slot swaps.
-    pub fn submit_image_to(&self, model: &str, image: &Image) -> Result<Pending, ServeError> {
-        let route = self.resolve_route(model)?;
-        self.submit_image_inner(image, DeadlineSpec::Default, false, Some(route))
-    }
-
-    /// Sanitize and letterbox an image into its job tensor + box map.
-    fn prepare_image(&self, image: &Image) -> Result<(Tensor, BoxMap), ServeError> {
-        let seq = self.shared.submit_seq.fetch_add(1, Ordering::SeqCst);
-        if let Err(e) = sanitize_image(image, self.shared.cfg.max_image_dim) {
-            self.refuse(seq, e.clone(), vec![image.width(), image.height()], image.raw());
-            return Err(ServeError::BadInput(e));
-        }
-        let size = self.shared.input_size;
-        let lb = image.letterbox(size);
-        let x = Tensor::from_vec(lb.image.to_chw(), &[3, size, size]);
-        let map = BoxMap {
-            scale: lb.scale,
-            pad_x: lb.pad_x,
-            pad_y: lb.pad_y,
-            orig_w: image.width(),
-            orig_h: image.height(),
-        };
-        Ok((x, map))
-    }
-
-    fn submit_image_inner(
-        &self,
-        image: &Image,
-        spec: DeadlineSpec,
-        tta: bool,
-        route: Option<Arc<ModelEntry>>,
-    ) -> Result<Pending, ServeError> {
-        let (x, map) = self.prepare_image(image)?;
-        let (tx, rx) = mpsc::sync_channel(1);
-        let job = make_job(&self.shared.cfg, x, Some(map), spec, tta, route, Reply::Dets(tx));
-        self.enqueue(job)?;
-        Ok(Pending { rx })
+        self.submit(Request::image(image))
     }
 
     /// Submit an already-preprocessed `[3, s, s]` tensor with the default
-    /// deadline. Detections come back in letterboxed coordinates (no
-    /// un-mapping is possible without the source geometry).
+    /// deadline; see [`Request::tensor`].
     pub fn submit_tensor(&self, x: &Tensor) -> Result<Pending, ServeError> {
-        self.submit_tensor_inner(x, DeadlineSpec::Default, false, None)
+        self.submit(Request::tensor(x))
     }
 
-    /// Submit a tensor that must start executing before `deadline`.
-    pub fn submit_tensor_with_deadline(
-        &self,
-        x: &Tensor,
-        deadline: Option<Instant>,
-    ) -> Result<Pending, ServeError> {
-        self.submit_tensor_inner(x, DeadlineSpec::Explicit(deadline), false, None)
-    }
-
-    /// Submit a tensor to be served with test-time augmentation; same
-    /// sanitization as [`ServePool::submit_tensor`].
-    pub fn submit_tensor_tta(&self, x: &Tensor) -> Result<Pending, ServeError> {
-        self.submit_tensor_inner(x, DeadlineSpec::Default, true, None)
-    }
-
-    /// Submit a tensor pinned to the routed model `model`; see
-    /// [`ServePool::submit_image_to`].
-    pub fn submit_tensor_to(&self, model: &str, x: &Tensor) -> Result<Pending, ServeError> {
-        let route = self.resolve_route(model)?;
-        self.submit_tensor_inner(x, DeadlineSpec::Default, false, Some(route))
-    }
-
-    fn submit_tensor_inner(
-        &self,
-        x: &Tensor,
-        spec: DeadlineSpec,
-        tta: bool,
-        route: Option<Arc<ModelEntry>>,
-    ) -> Result<Pending, ServeError> {
-        let seq = self.shared.submit_seq.fetch_add(1, Ordering::SeqCst);
-        if let Err(e) = sanitize_tensor(x, self.shared.input_size) {
-            self.refuse(seq, e.clone(), x.shape().to_vec(), x.as_slice());
-            return Err(ServeError::BadInput(e));
+    /// Sanitize an input into its job tensor, letterboxing an image and
+    /// keeping the geometry that maps detections back onto it.
+    fn prepare(&self, input: Input<'_>) -> Result<(Tensor, Option<BoxMap>), ServeError> {
+        let shared = &self.shared;
+        let seq = shared.submit_seq.fetch_add(1, Ordering::SeqCst);
+        match input {
+            Input::Image(image) => {
+                if let Err(e) = sanitize_image(image, shared.cfg.max_image_dim) {
+                    self.refuse(seq, e.clone(), vec![image.width(), image.height()], image.raw());
+                    return Err(ServeError::BadInput(e));
+                }
+                let size = shared.input_size;
+                let lb = image.letterbox(size);
+                let x = Tensor::from_vec(lb.image.to_chw(), &[3, size, size]);
+                let map = BoxMap {
+                    scale: lb.scale,
+                    pad_x: lb.pad_x,
+                    pad_y: lb.pad_y,
+                    orig_w: image.width(),
+                    orig_h: image.height(),
+                };
+                Ok((x, Some(map)))
+            }
+            Input::Tensor(x) => {
+                if let Err(e) = sanitize_tensor(x, shared.input_size) {
+                    self.refuse(seq, e.clone(), x.shape().to_vec(), x.as_slice());
+                    return Err(ServeError::BadInput(e));
+                }
+                Ok((x.clone(), None))
+            }
         }
-        let (tx, rx) = mpsc::sync_channel(1);
-        let job = make_job(&self.shared.cfg, x.clone(), None, spec, tta, route, Reply::Dets(tx));
-        self.enqueue(job)?;
-        Ok(Pending { rx })
     }
 
     /// Open a stream session with the default tracker configuration.
@@ -738,25 +747,16 @@ impl ServePool {
     /// queues; later frames wait inside the session and are released one
     /// by one as answers come back. Buffered frames count against
     /// [`ServeConfig::queue_capacity`] exactly like queued ones.
-    pub fn submit_frame(&self, session: SessionId, image: &Image) -> Result<PendingFrame, ServeError> {
-        let (x, map) = self.prepare_image(image)?;
+    pub fn submit_frame(
+        &self,
+        session: SessionId,
+        image: &Image,
+    ) -> Result<Pending<TrackedFrame>, ServeError> {
+        let (x, map) = self.prepare(Input::Image(image))?;
         let (tx, rx) = mpsc::sync_channel(1);
         let shared = &self.shared;
-        let job = {
-            // Same lock order as everywhere else: `admission`, then
-            // `sessions`. Holding admission across the session update keeps
-            // the capacity check and the buffer/queue decision atomic.
-            let open = lock(&shared.admission);
-            if !*open {
-                return Err(ServeError::ShuttingDown);
-            }
-            let depth = shared.queued.load(Ordering::SeqCst)
-                + shared.session_pending.load(Ordering::SeqCst);
-            if depth >= shared.cfg.queue_capacity {
-                shared.stats.rejected_full.fetch_add(1, Ordering::SeqCst);
-                shared.metrics.sheds.inc();
-                return Err(ServeError::Rejected { queue_depth: depth });
-            }
+        admit(shared, || {
+            // Lock order: `admission` (held by `admit`), then `sessions`.
             let mut sessions = lock(&shared.sessions);
             let s = sessions
                 .get_mut(&session.0)
@@ -767,22 +767,18 @@ impl ServePool {
             let frame = s.frames_submitted;
             s.frames_submitted += 1;
             let reply = Reply::Frame { session: session.0, frame, tx };
-            let job = make_job(&shared.cfg, x, Some(map), DeadlineSpec::Default, false, None, reply);
+            let job = make_job(&shared.cfg, x, map, DeadlineSpec::Default, false, None, reply);
             if s.in_flight {
                 // A frame of this session is already out: buffer behind it.
                 s.pending.push_back(job);
                 shared.session_pending.fetch_add(1, Ordering::SeqCst);
-                None
+                Ok(None)
             } else {
                 s.in_flight = true;
-                Some(job)
+                Ok(Some(job))
             }
-        };
-        if let Some(job) = job {
-            push_job(shared, job);
-        }
-        shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
-        Ok(PendingFrame { rx })
+        })?;
+        Ok(Pending { rx })
     }
 
     /// Close a session. Frames already in the worker queues still answer
@@ -819,35 +815,30 @@ impl ServePool {
         self.submit_image(image)?.wait()
     }
 
-    /// Convenience: submit an image with TTA and block for the answer.
-    pub fn detect_tta(&self, image: &Image) -> Result<Vec<Detection>, ServeError> {
-        self.submit_image_tta(image)?.wait()
-    }
-
-    /// Convenience: submit an image pinned to routed model `model` and
-    /// block for the answer.
-    pub fn detect_with(&self, model: &str, image: &Image) -> Result<Vec<Detection>, ServeError> {
-        self.submit_image_to(model, image)?.wait()
-    }
-
-    /// Snapshot of the pool's counters.
+    /// Snapshot of the pool's counters, read from the metrics registry.
     pub fn stats(&self) -> ServeStats {
-        let s = &self.shared.stats;
+        let m = &self.shared.metrics;
+        // `completed` is read before `accepted`, and a request is counted as
+        // accepted before it is queued. The counters are independent relaxed
+        // atomics, though, so callers subtracting the two should saturate.
+        let completed = m.latency_ms.count();
         let b = lock(&self.shared.breaker);
         ServeStats {
-            accepted: s.accepted.load(Ordering::SeqCst),
-            rejected_full: s.rejected_full.load(Ordering::SeqCst),
-            rejected_bad_input: s.rejected_bad_input.load(Ordering::SeqCst),
-            completed: s.completed.load(Ordering::SeqCst),
-            deadline_dropped: s.deadline_dropped.load(Ordering::SeqCst),
-            worker_panics: s.worker_panics.load(Ordering::SeqCst),
-            corrupt_outputs: s.corrupt_outputs.load(Ordering::SeqCst),
-            compiled_batches: s.compiled_batches.load(Ordering::SeqCst),
-            eager_batches: s.eager_batches.load(Ordering::SeqCst),
+            accepted: m.accepted.get(),
+            rejected_full: m.sheds.get(),
+            rejected_bad_input: m.sanitize_nonfinite.get()
+                + m.sanitize_badshape.get()
+                + m.sanitize_baddims.get(),
+            completed,
+            deadline_dropped: m.deadline_misses.get(),
+            worker_panics: m.worker_panics.get(),
+            corrupt_outputs: m.corrupt_outputs.get(),
+            compiled_batches: m.compiled_batches.get(),
+            eager_batches: m.eager_batches.get(),
             breaker_trips: b.trips(),
             breaker_recoveries: b.recoveries(),
             breaker_probes: b.probes(),
-            swaps: s.swaps.load(Ordering::SeqCst),
+            swaps: m.swap_count.get(),
         }
     }
 
@@ -901,7 +892,7 @@ impl ServePool {
         (live.entry.name().to_string(), live.entry.version(), live.entry.fingerprint())
     }
 
-    /// Keys currently routable via [`ServePool::submit_image_to`], sorted.
+    /// Keys currently routable via [`Request::route`], sorted.
     pub fn routes(&self) -> Vec<String> {
         let mut keys: Vec<String> = lock(&self.shared.routes).keys().cloned().collect();
         keys.sort();
@@ -970,7 +961,6 @@ impl ServePool {
             live.epoch += 1;
             std::mem::replace(&mut live.entry, entry)
         };
-        self.shared.stats.swaps.fetch_add(1, Ordering::SeqCst);
         self.shared.metrics.swap_count.inc();
         displaced
     }
@@ -1014,57 +1004,62 @@ impl ServePool {
     }
 
     fn refuse(&self, seq: u64, error: crate::sanitize::InputError, shape: Vec<usize>, data: &[f32]) {
-        self.shared.stats.rejected_bad_input.fetch_add(1, Ordering::SeqCst);
         self.shared.metrics.on_refusal(&error);
         lock(&self.shared.quarantine).record(seq, error, shape, data);
     }
+}
 
-    /// Admit a prebuilt job into the worker queues.
-    fn enqueue(&self, job: Job) -> Result<(), ServeError> {
-        let shared = &self.shared;
-        {
-            // The admission lock serialises the capacity check with the
-            // push and the notify: a worker re-checking `queued` under this
-            // lock can never miss the wakeup.
-            let open = lock(&shared.admission);
-            if !*open {
-                return Err(ServeError::ShuttingDown);
-            }
-            let depth = shared.queued.load(Ordering::SeqCst)
-                + shared.session_pending.load(Ordering::SeqCst);
-            if depth >= shared.cfg.queue_capacity {
-                shared.stats.rejected_full.fetch_add(1, Ordering::SeqCst);
-                shared.metrics.sheds.inc();
-                return Err(ServeError::Rejected { queue_depth: depth });
-            }
-            push_job_locked(shared, job, depth);
-        }
-        shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
-        Ok(())
+/// The one admission function. Under the admission lock: refuse if the
+/// pool is closed or full, let `place` build the request's job — it returns
+/// the job to queue, or `None` after buffering it inside its session — then
+/// count the request as accepted, sample the queue depth, and push, all
+/// before the lock is released. A concurrent `shutdown` therefore either
+/// refuses the request or finds its job queued, never a job in between.
+fn admit(
+    shared: &Shared,
+    place: impl FnOnce() -> Result<Option<Job>, ServeError>,
+) -> Result<(), ServeError> {
+    // The admission lock serialises the capacity check with the push and
+    // the notify: a worker re-checking `queued` under this lock can never
+    // miss the wakeup.
+    let open = lock(&shared.admission);
+    if !*open {
+        return Err(ServeError::ShuttingDown);
     }
+    let depth =
+        shared.queued.load(Ordering::SeqCst) + shared.session_pending.load(Ordering::SeqCst);
+    if depth >= shared.cfg.queue_capacity {
+        shared.metrics.sheds.inc();
+        return Err(ServeError::Rejected { queue_depth: depth });
+    }
+    let job = place()?;
+    shared.metrics.accepted.inc();
+    shared.metrics.queue_depth.record((depth + 1) as f64);
+    if let Some(job) = job {
+        push_job_locked(shared, job);
+    }
+    Ok(())
 }
 
 /// Round-robin a job into a worker queue and wake a worker. Callers must
-/// hold the admission lock (pass the observed depth for the histogram).
-fn push_job_locked(shared: &Shared, job: Job, depth: usize) {
+/// hold the admission lock.
+fn push_job_locked(shared: &Shared, job: Job) {
     // Round-robin placement; an idle worker steals across queues, so
     // placement balances the steady state, stealing the bursts.
     let qi = shared.next_queue.fetch_add(1, Ordering::SeqCst) % shared.queues.len();
     lock(&shared.queues[qi]).push_back(job);
     shared.queued.fetch_add(1, Ordering::SeqCst);
-    shared.metrics.queue_depth.record((depth + 1) as f64);
     shared.job_ready.notify_one();
 }
 
-/// Push an already-admitted job (a session frame being submitted or
-/// released) into the worker queues. No capacity check: the job was counted
-/// at admission. Pushing past shutdown is safe — the pushing thread is
-/// either a producer that held the admission lock while it was open, or a
-/// worker that will drain the queue itself before exiting.
+/// Release a session's buffered frame into the worker queues. No capacity
+/// check: the frame was counted when it was admitted. Only workers call
+/// this, and a worker drains the queues before it exits, so a release
+/// after shutdown still answers. Producers never push here — they push
+/// inside [`admit`], under the same lock as their admission check.
 fn push_job(shared: &Shared, job: Job) {
     let _open = lock(&shared.admission);
-    let depth = shared.queued.load(Ordering::SeqCst);
-    push_job_locked(shared, job, depth);
+    push_job_locked(shared, job);
 }
 
 /// Answer session jobs that will never run (teardown / close / shutdown).
@@ -1264,30 +1259,31 @@ fn run_attempt(
 fn reply_ok(shared: &Shared, jobs: Vec<Job>, detections: Vec<Vec<Detection>>) {
     let size = shared.input_size;
     for (job, dets) in jobs.into_iter().zip(detections) {
-        let out: Vec<Detection> = match &job.map {
-            Some(m) => dets
-                .into_iter()
-                .filter_map(|d| {
-                    let mapped =
-                        unletterbox_box(&d.bbox, size, m.scale, m.pad_x, m.pad_y, m.orig_w, m.orig_h);
-                    mapped.clipped().map(|bbox| Detection { bbox, ..d })
-                })
-                .collect(),
-            None => dets
-                .into_iter()
-                .filter_map(|d| d.bbox.clipped().map(|bbox| Detection { bbox, ..d }))
-                .collect(),
-        };
-        shared.stats.completed.fetch_add(1, Ordering::SeqCst);
+        let out: Vec<Detection> = dets
+            .into_iter()
+            .filter_map(|d| {
+                let bbox = match &job.map {
+                    Some(m) => {
+                        unletterbox_box(&d.bbox, size, m.scale, m.pad_x, m.pad_y, m.orig_w, m.orig_h)
+                    }
+                    None => d.bbox,
+                };
+                bbox.clipped().map(|bbox| Detection { bbox, ..d })
+            })
+            .collect();
         shared.metrics.latency_ms.record(job.submitted.elapsed().as_secs_f64() * 1e3);
-        match job.reply {
-            Reply::Dets(tx) => {
-                let _ = tx.send(Ok(out));
-            }
-            Reply::Frame { session, frame, tx } => {
-                finish_session_frame(shared, session, frame, Ok(out), tx);
-            }
+        answer(shared, job.reply, Ok(out));
+    }
+}
+
+/// Send a job its answer. A session frame's answer also steps the session
+/// tracker and releases the session's next buffered frame.
+fn answer(shared: &Shared, reply: Reply, result: Result<Vec<Detection>, ServeError>) {
+    match reply {
+        Reply::Dets(tx) => {
+            let _ = tx.send(result);
         }
+        Reply::Frame { session, frame, tx } => finish_session_frame(shared, session, frame, result, tx),
     }
 }
 
@@ -1581,11 +1577,7 @@ fn run_group(
             shared
                 .metrics
                 .on_breaker(lock(&shared.breaker).record_success(path), we.entry.label());
-            let counter = match path {
-                ExecPath::Eager => &shared.stats.eager_batches,
-                _ => &shared.stats.compiled_batches,
-            };
-            counter.fetch_add(1, Ordering::SeqCst);
+            shared.metrics.on_answered(path);
             let shadow = if mirror { shadow_pick(shared, batch_idx) } else { None };
             let primary = shadow.as_ref().map(|_| dets.clone());
             reply_ok(shared, jobs, dets);
@@ -1594,11 +1586,7 @@ fn run_group(
             }
         }
         Err(failure) => {
-            let counter = match &failure {
-                ExecFailure::Panic(_) => &shared.stats.worker_panics,
-                ExecFailure::NonFinite => &shared.stats.corrupt_outputs,
-            };
-            counter.fetch_add(1, Ordering::SeqCst);
+            shared.metrics.on_exec_failure(&failure);
             shared
                 .metrics
                 .on_breaker(lock(&shared.breaker).record_failure(path), we.entry.label());
@@ -1616,15 +1604,11 @@ fn run_group(
             let clean = Injected::default();
             match run_attempt(shared, we, ExecPath::Eager, &x, &clean, &tta_flags) {
                 Ok(dets) => {
-                    shared.stats.eager_batches.fetch_add(1, Ordering::SeqCst);
+                    shared.metrics.on_answered(ExecPath::Eager);
                     reply_ok(shared, jobs, dets);
                 }
                 Err(second) => {
-                    let counter = match &second {
-                        ExecFailure::Panic(_) => &shared.stats.worker_panics,
-                        ExecFailure::NonFinite => &shared.stats.corrupt_outputs,
-                    };
-                    counter.fetch_add(1, Ordering::SeqCst);
+                    shared.metrics.on_exec_failure(&second);
                     reply_err(shared, jobs, &second.to_error());
                 }
             }
@@ -1674,7 +1658,6 @@ fn worker_main(shared: &Shared, wid: usize) {
         let (live, dead): (Vec<Job>, Vec<Job>) =
             jobs.into_iter().partition(|j| j.deadline.is_none_or(|d| now <= d));
         if !dead.is_empty() {
-            shared.stats.deadline_dropped.fetch_add(dead.len() as u64, Ordering::SeqCst);
             shared.metrics.deadline_misses.add(dead.len() as u64);
             for job in dead {
                 // Culled jobs never reach `latency_ms` (no answer exists);
@@ -1684,20 +1667,9 @@ fn worker_main(shared: &Shared, wid: usize) {
                     .metrics
                     .culled_wait_ms
                     .record(job.submitted.elapsed().as_secs_f64() * 1e3);
-                match job.reply {
-                    Reply::Dets(tx) => {
-                        let _ = tx.send(Err(ServeError::DeadlineExceeded));
-                    }
-                    // Deadlines are per frame: the miss skips this frame
-                    // and the session continues with its next one.
-                    Reply::Frame { session, frame, tx } => finish_session_frame(
-                        shared,
-                        session,
-                        frame,
-                        Err(ServeError::DeadlineExceeded),
-                        tx,
-                    ),
-                }
+                // Deadlines are per frame: a culled session frame skips that
+                // frame and the session continues with its next one.
+                answer(shared, job.reply, Err(ServeError::DeadlineExceeded));
             }
         }
         if live.is_empty() {

@@ -733,7 +733,7 @@ impl ModelRegistry {
     }
 
     /// Expose `key` for per-request routing on `pool`
-    /// ([`ServePool::submit_image_to`] and friends). The model keeps its
+    /// ([`Request::route`](crate::Request::route)). The model keeps its
     /// rollout state; routing does not make it the default.
     pub fn route(&self, pool: &ServePool, key: &str) -> Result<(), RegistryError> {
         let entry = self.eligible_entry(key)?;

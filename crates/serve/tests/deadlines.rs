@@ -1,14 +1,13 @@
 //! Deadline-stamping regression suite.
 //!
-//! Deadlines used to be resolved by each submit wrapper against its own
-//! clock read, so routed and TTA submissions — which do more preparation
-//! work before enqueueing — could drift from plain ones, and none of them
-//! was guaranteed to share its anchor with the job's `submitted` stamp.
-//! All stamping now happens at one point (`make_job`), and this suite
-//! pins the observable contract:
+//! Every request — whatever its input kind and options — becomes a job at
+//! one point (`make_job`), which stamps the deadline against the same clock
+//! read as the job's `submitted` anchor. This suite pins the observable
+//! contract over the whole option table:
 //!
-//! 1. Every submit path — plain image, plain tensor, TTA, routed — culls
-//!    against the *same* default deadline when made to outwait it.
+//! 1. Every {image, tensor} × {plain, TTA, routed, TTA + routed} request,
+//!    and a session frame, culls against the *same* default deadline when
+//!    made to outwait it.
 //! 2. An explicit `None` deadline means "no deadline", never silently
 //!    replaced by the configured default.
 //! 3. An explicitly expired deadline culls without costing a forward pass.
@@ -18,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use platter_imaging::{Image, Rgb};
-use platter_serve::{ModelRegistry, ServeConfig, ServeError, ServePool};
+use platter_serve::{ModelRegistry, Request, ServeConfig, ServeError, ServePool};
 use platter_tensor::Tensor;
 use platter_yolo::{YoloConfig, Yolov4};
 
@@ -37,14 +36,34 @@ fn test_image(seed: usize) -> Image {
     Image::new(40 + seed % 13, 30 + seed % 11, Rgb::new(0.3, 0.4, 0.2))
 }
 
+/// The request options every input kind is submitted with.
+#[derive(Clone, Copy, Debug)]
+enum Options {
+    Plain,
+    Tta,
+    Routed,
+    TtaRouted,
+}
+
+const OPTIONS: [Options; 4] = [Options::Plain, Options::Tta, Options::Routed, Options::TtaRouted];
+
+fn with_options<'a>(req: Request<'a>, options: Options, key: &'a str) -> Request<'a> {
+    match options {
+        Options::Plain => req,
+        Options::Tta => req.tta(),
+        Options::Routed => req.route(key),
+        Options::TtaRouted => req.tta().route(key),
+    }
+}
+
 #[test]
 fn every_submit_path_culls_against_the_same_default_deadline() {
     let model = Yolov4::new(nano_cfg(), 21);
     // One worker, a batch window far longer than the deadline, and a batch
     // large enough to hold every submission: all requests coalesce into
     // one batch that only runs after their shared default deadline has
-    // passed. If any wrapper stamped its own deadline differently, it
-    // would be the one answering detections here.
+    // passed. If any option stamped its deadline differently, it would be
+    // the one answering detections here.
     let cfg = ServeConfig {
         max_batch: 16,
         max_wait: Duration::from_millis(150),
@@ -56,29 +75,31 @@ fn every_submit_path_culls_against_the_same_default_deadline() {
     let registry = ModelRegistry::default();
     let key = registry.adopt_live(&pool).expect("adopt live");
     registry.route(&pool, &key).expect("route live model");
+    let session = pool.open_session().expect("open session");
 
-    let culled = vec![
-        pool.submit_image(&test_image(0)).expect("plain image"),
-        pool.submit_tensor(&test_tensor(1)).expect("plain tensor"),
-        pool.submit_image_tta(&test_image(2)).expect("tta image"),
-        pool.submit_tensor_tta(&test_tensor(3)).expect("tta tensor"),
-        pool.submit_image_to(&key, &test_image(4)).expect("routed image"),
-        pool.submit_tensor_to(&key, &test_tensor(5)).expect("routed tensor"),
-    ];
+    let mut culled = Vec::new();
+    for (i, options) in OPTIONS.into_iter().enumerate() {
+        let image = test_image(i);
+        let tensor = test_tensor(i);
+        for (kind, req) in [("image", Request::image(&image)), ("tensor", Request::tensor(&tensor))] {
+            let pending = pool.submit(with_options(req, options, &key)).expect("admitted");
+            culled.push((format!("{kind} {options:?}"), pending));
+        }
+    }
+    let frame = pool.submit_frame(session, &test_image(8)).expect("session frame");
     // The control: an explicit `None` deadline must survive the same wait.
-    // Before stamping was centralised this was the path most at risk of
-    // silently inheriting the default.
-    let undying =
-        pool.submit_tensor_with_deadline(&test_tensor(6), None).expect("undying tensor");
+    // This is the option most at risk of silently inheriting the default.
+    let undying = pool.submit(Request::tensor(&test_tensor(9)).deadline(None)).expect("undying");
 
-    let n = culled.len() as u64;
-    for (i, p) in culled.into_iter().enumerate() {
+    let n = culled.len() as u64 + 1;
+    for (name, p) in culled {
         assert_eq!(
             p.wait(),
             Err(ServeError::DeadlineExceeded),
-            "submit path {i} outlived a deadline the other paths missed"
+            "{name} outlived a deadline the other requests missed"
         );
     }
+    assert_eq!(frame.wait(), Err(ServeError::DeadlineExceeded), "session frame outlived it");
     assert!(undying.wait().is_ok(), "an explicit None deadline must never be culled");
 
     let stats = pool.stats();
@@ -92,6 +113,7 @@ fn every_submit_path_culls_against_the_same_default_deadline() {
     let latency = metrics.histogram("serve.latency_ms").expect("registered");
     assert_eq!(latency.count, 1, "latency histogram must record answers only");
 
+    pool.close_session(session).expect("close");
     pool.shutdown();
 }
 
@@ -101,7 +123,7 @@ fn an_already_expired_deadline_culls_without_a_forward_pass() {
     let pool = ServePool::new(&model, ServeConfig::new(1));
 
     let expired = Some(Instant::now() - Duration::from_millis(1));
-    let p = pool.submit_image_with_deadline(&test_image(7), expired).expect("admitted");
+    let p = pool.submit(Request::image(&test_image(7)).deadline(expired)).expect("admitted");
     assert_eq!(p.wait(), Err(ServeError::DeadlineExceeded));
 
     let stats = pool.stats();

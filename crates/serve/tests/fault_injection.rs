@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 
 use platter_imaging::{Image, Rgb};
 use platter_serve::{
-    BreakerConfig, InputError, ServeConfig, ServeError, ServeFault, ServeFaultPlan, ServePool,
-    ServeStats,
+    BreakerConfig, InputError, Request, ServeConfig, ServeError, ServeFault, ServeFaultPlan,
+    ServePool, ServeStats,
 };
 use platter_tensor::Tensor;
 use platter_yolo::{Detection, YoloConfig, Yolov4};
@@ -202,7 +202,7 @@ fn expired_deadlines_drop_before_execution() {
     let size = nano_config().input_size;
     let x = Tensor::zeros(&[3, size, size]);
     let deadline = Instant::now() + Duration::from_millis(20);
-    let pending = pool.submit_tensor_with_deadline(&x, Some(deadline)).expect("admitted");
+    let pending = pool.submit(Request::tensor(&x).deadline(Some(deadline))).expect("admitted");
     // The injected stall outlasts the deadline, so the batcher answers
     // without spending a forward pass on stale work.
     assert_eq!(pending.wait(), Err(ServeError::DeadlineExceeded));

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use platter_imaging::{Image, Rgb};
-use platter_serve::{InputError, ServeConfig, ServeError, ServePool};
+use platter_serve::{InputError, Request, ServeConfig, ServeError, ServePool};
 use platter_tensor::Tensor;
 use platter_yolo::{YoloConfig, Yolov4};
 
@@ -87,7 +87,7 @@ proptest! {
         let mut pending = Vec::new();
         for off in &offsets {
             let deadline = off.map(|ms| now + Duration::from_millis(ms));
-            match pool().submit_tensor_with_deadline(&x, deadline) {
+            match pool().submit(Request::tensor(&x).deadline(deadline)) {
                 Ok(p) => pending.push(p),
                 Err(ServeError::Rejected { .. }) => {}
                 Err(other) => {

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use platter_serve::{
     CanaryConfig, CanaryDecision, ModelRegistry, ModelState, RegistryConfig, RegistryError,
-    RollbackReason, ServeConfig, ServeError, ServeFault, ServeFaultPlan, ServePool,
+    Request, RollbackReason, ServeConfig, ServeError, ServeFault, ServeFaultPlan, ServePool,
 };
 use platter_tensor::Tensor;
 use platter_yolo::{Detection, YoloConfig, Yolov4};
@@ -413,8 +413,15 @@ fn routed_requests_pin_their_model_and_unknown_routes_are_refused() {
         .expect("loads");
 
     // Routing requires an explicit registry decision.
-    let err = pool.submit_tensor_to(&key, &test_tensor(0)).unwrap_err();
+    let err = pool.submit(Request::tensor(&test_tensor(0)).route(&key)).unwrap_err();
     assert_eq!(err, ServeError::UnknownModel { model: key.clone() });
+    // Route resolution comes first at the door: a malformed input to an
+    // unknown route is refused as UnknownModel and never reaches sanitization.
+    let malformed = Tensor::zeros(&[2, 2]);
+    let err = pool.submit(Request::tensor(&malformed).route(&key)).unwrap_err();
+    assert_eq!(err, ServeError::UnknownModel { model: key.clone() });
+    assert_eq!(pool.stats().rejected_bad_input, 0);
+    assert!(pool.quarantine().is_empty());
     registry.route(&pool, &key).expect("routes");
     assert_eq!(pool.routes(), vec![key.clone()]);
 
@@ -422,7 +429,8 @@ fn routed_requests_pin_their_model_and_unknown_routes_are_refused() {
     // unroutedtraffic keeps hitting the incumbent's default.
     let got: Vec<_> = (0..4)
         .map(|i| {
-            det_bits(&pool.submit_tensor_to(&key, &test_tensor(i)).expect("admitted").wait().expect("answered"))
+            let x = test_tensor(i);
+            det_bits(&pool.submit(Request::tensor(&x).route(&key)).expect("admitted").wait().expect("answered"))
         })
         .collect();
     assert_eq!(got, want_b, "routed requests must serve on the pinned model");
@@ -435,7 +443,7 @@ fn routed_requests_pin_their_model_and_unknown_routes_are_refused() {
     assert_eq!(metrics.counter("serve.model.inc-v0.batches"), Some(1));
 
     registry.unroute(&pool, &key);
-    let err = pool.submit_tensor_to(&key, &test_tensor(0)).unwrap_err();
+    let err = pool.submit(Request::tensor(&test_tensor(0)).route(&key)).unwrap_err();
     assert!(matches!(err, ServeError::UnknownModel { .. }));
     pool.shutdown();
 }
@@ -534,7 +542,8 @@ fn quantized_candidate_rides_the_full_rollout_path() {
 
     // Routable: explicitly routed requests serve on the i8 engine.
     registry.route(&pool, &key).expect("routes");
-    let routed = pool.submit_tensor_to(&key, &test_tensor(0)).expect("admitted").wait().expect("answered");
+    let x = test_tensor(0);
+    let routed = pool.submit(Request::tensor(&x).route(&key)).expect("admitted").wait().expect("answered");
     for d in &routed {
         assert!(d.score.is_finite(), "quantized route must answer finite detections");
     }

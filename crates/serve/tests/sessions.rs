@@ -15,8 +15,12 @@
 //! 5. A breaker-isolated worker panic tears the session down: the failing
 //!    frame answers [`ServeError::WorkerPanic`], buffered frames and later
 //!    submissions answer [`ServeError::SessionTornDown`].
+//! 6. A frame admitted while `shutdown` races it is still answered while
+//!    the pool is alive, and every admitted frame — queued or buffered —
+//!    is sampled once into `serve.queue_depth`.
 
 use std::path::PathBuf;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use platter_imaging::{render_video, DishKind, Image, Rgb, VideoSpec};
@@ -321,5 +325,78 @@ fn session_doors_refuse_bad_input() {
         pool.close_session(session),
         Err(ServeError::UnknownSession { session: session.raw() })
     );
+    pool.shutdown();
+}
+
+#[test]
+fn frames_racing_shutdown_are_always_answered() {
+    let model = nano_model(10);
+    let image = test_image(4);
+    for round in 0..60u64 {
+        let pool = Arc::new(ServePool::new(&model, session_cfg(1)));
+        // Many sessions, one frame each: every submission is the first of
+        // its session, so each one is pushed straight into a worker queue —
+        // the path that used to push after the admission lock was released.
+        let sessions: Vec<_> = (0..32).map(|_| pool.open_session().expect("open")).collect();
+        let start = Arc::new(Barrier::new(2));
+        let submitter = {
+            let (pool, start, image) = (Arc::clone(&pool), Arc::clone(&start), image.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let mut admitted = Vec::new();
+                for &session in &sessions {
+                    match pool.submit_frame(session, &image) {
+                        Ok(p) => admitted.push(p),
+                        Err(ServeError::ShuttingDown) => break,
+                        Err(other) => panic!("unexpected admission error: {other:?}"),
+                    }
+                }
+                admitted
+            })
+        };
+        start.wait();
+        std::thread::sleep(Duration::from_micros(50 * (round % 8)));
+        pool.shutdown();
+        let admitted = submitter.join().expect("submitter");
+
+        // Wait on a helper thread so a stranded frame shows up as a
+        // timeout here rather than a hung test; `pool` stays alive
+        // throughout, so no answer can come from its drop.
+        let n = admitted.len();
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            for p in admitted {
+                let _ = tx.send(p.wait());
+            }
+        });
+        for i in 0..n {
+            match rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(Ok(_)) | Ok(Err(ServeError::ShuttingDown)) => {}
+                Ok(Err(other)) => panic!("round {round}: frame {i} answered {other:?}"),
+                Err(_) => panic!("round {round}: admitted frame {i} of {n} was never answered"),
+            }
+        }
+        waiter.join().expect("waiter");
+    }
+}
+
+#[test]
+fn queue_depth_is_sampled_once_per_admitted_frame() {
+    let model = nano_model(12);
+    // Zero workers: frame 0 stays queued and the rest buffer behind it, so
+    // the depth seen by the capacity check grows by one per frame.
+    let pool = ServePool::new(&model, session_cfg(0));
+    let session = pool.open_session().expect("open");
+    let n = 6;
+    let _pending: Vec<_> =
+        (0..n).map(|_| pool.submit_frame(session, &test_image(7)).expect("admitted")).collect();
+
+    assert_eq!(pool.stats().accepted, n as u64);
+    let metrics = pool.metrics();
+    let depth = metrics.histogram("serve.queue_depth").expect("registered");
+    assert_eq!(depth.count, n as u64, "one depth sample per admitted frame, buffered ones included");
+    assert_eq!(depth.max, n as f64, "the sample counts session-buffered frames");
+
+    pool.close_session(session).expect("close");
     pool.shutdown();
 }

@@ -147,6 +147,22 @@ if [ -n "$flips" ]; then
   exit 1
 fi
 
+echo "== single-construction-point gate (a Job is built only in make_job) =="
+# Every request becomes a job in make_job, the one place its deadline is
+# stamped (DESIGN.md §17). A second `Job { .. }` literal would be a submit
+# path that can drift from the others. Comment lines are skipped.
+jobs=$(git ls-files 'crates/serve/src/*.rs' | xargs -r awk '
+  /^fn make_job\(/ { in_make = 1 }
+  in_make && /^}/ { in_make = 0; next }
+  /^[[:space:]]*\/\// { next }
+  !in_make && /(^|[^A-Za-z0-9_])Job \{/ && !/struct Job \{/ { print FILENAME ":" FNR ": " $0 }
+' || true)
+if [ -n "$jobs" ]; then
+  echo "Job struct literals outside make_job:" >&2
+  echo "$jobs" >&2
+  exit 1
+fi
+
 echo "== compiled inference smoke (writes results/BENCH_inference.json + PROFILE_inference.json) =="
 cargo run -q --release -p platter-bench --bin bench_inference
 
