@@ -5,14 +5,17 @@
 //! fuse into the producing op (no standalone `act` ops survive). A
 //! regression in either keeps the outputs bit-for-bit compatible while
 //! silently costing a full extra pass over every feature map — parity
-//! tests cannot see it. These snapshots pin the exact op-kind sequence
-//! and arena slot count of the micro YOLOv4 and SSD plans, so a lost
-//! fusion (or a planner that suddenly needs more memory) fails loudly.
+//! tests cannot see it. These snapshots pin the exact op-kind sequence,
+//! arena slot count and arena bytes (after a batch-1 then a batch-8 run)
+//! of the micro YOLOv4 and SSD plans, so a lost fusion (or a planner that
+//! suddenly needs more memory) fails loudly.
 //!
 //! When a deliberate planner change shifts these, regenerate by printing
-//! `plan.op_kinds()` / `plan.num_slots()` and updating the constants.
+//! `plan.op_kinds()` / `plan.num_slots()` / `arena_bytes()` and updating
+//! the constants.
 
 use platter_baselines::{SsdConfig, SsdDetector};
+use platter_tensor::Tensor;
 use platter_yolo::{YoloConfig, Yolov4};
 
 /// Run-length compact an op-kind sequence: `conv2d[Mish]` repeated six
@@ -60,7 +63,12 @@ const SSD_MICRO_KINDS: &[&str] = &[
 #[test]
 fn yolov4_micro_plan_structure_is_golden() {
     let model = Yolov4::new(YoloConfig::micro(10), 1);
-    let engine = model.compile_inference();
+    let mut engine = model.compile_inference();
+    let s = model.config.input_size;
+    engine.run(&Tensor::zeros(&[1, 3, s, s]));
+    assert_eq!(engine.arena_bytes(), 718_848, "YOLOv4-micro batch-1 arena size drifted");
+    engine.run(&Tensor::zeros(&[8, 3, s, s]));
+    assert_eq!(engine.arena_bytes(), 2_654_208, "YOLOv4-micro batch-8 arena size drifted");
     let plan = engine.plan();
     let kinds = compact(&plan.op_kinds());
     assert_eq!(kinds, YOLO_MICRO_KINDS, "YOLOv4-micro op sequence drifted");
@@ -75,7 +83,12 @@ fn yolov4_micro_plan_structure_is_golden() {
 #[test]
 fn ssd_micro_plan_structure_is_golden() {
     let model = SsdDetector::new(SsdConfig::micro(10), 1);
-    let exec = model.compile_inference();
+    let mut exec = model.compile_inference();
+    let s = model.config.input_size;
+    exec.run(&[&Tensor::zeros(&[1, 3, s, s])]);
+    assert_eq!(exec.arena_bytes(), 201_728, "SSD-micro batch-1 arena size drifted");
+    exec.run(&[&Tensor::zeros(&[8, 3, s, s])]);
+    assert_eq!(exec.arena_bytes(), 839_680, "SSD-micro batch-8 arena size drifted");
     let plan = exec.plan();
     let kinds = compact(&plan.op_kinds());
     assert_eq!(kinds, SSD_MICRO_KINDS, "SSD-micro op sequence drifted");

@@ -6,12 +6,8 @@
 //! batch 8, and writes medians plus plan statistics to
 //! `results/BENCH_inference.json`. Each batch size is timed over three
 //! independent rounds and the median round is reported, so the CI speedup
-//! gate keys on a number that survives scheduler jitter.
-//!
-//! A `quant` block follows the f32 rows: the INT8 engine from
-//! `Yolov4::compile_inference_quantized` timed against the f32 compiled
-//! engine (`speedup_vs_f32`), plus the mAP delta quantization costs on the
-//! trained smoke-scale workload.
+//! gate keys on a number that survives scheduler jitter; each row also
+//! records the fastest and slowest round's compiled time.
 //!
 //! After the timed comparison (so profiling overhead cannot contaminate
 //! the speedup numbers) the compiled engine is re-run under the
@@ -24,10 +20,10 @@
 
 use std::time::Instant;
 
-use platter_bench::{ensure_trained_yolo, evaluate_detector, host_record, render_val_set, write_json, write_text, HostRecord, RunScale};
+use platter_bench::{host_record, write_json, write_text, HostRecord, RunScale};
 use platter_obs::ProfileReport;
 use platter_tensor::Tensor;
-use platter_yolo::{decode_detections, nms, Detector, NmsKind, YoloConfig, Yolov4};
+use platter_yolo::{YoloConfig, Yolov4};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -38,28 +34,10 @@ struct BatchResult {
     eager_ms: f64,
     compiled_ms: f64,
     speedup: f64,
-}
-
-#[derive(Serialize)]
-struct QuantBatchResult {
-    batch: usize,
-    f32_ms: f64,
-    quant_ms: f64,
-    /// `speedup_vs_f32`, not `speedup`: the CI gate that reads the first
-    /// `"speedup"` key in the file must keep landing on the batch-1
-    /// eager-vs-compiled row above.
-    speedup_vs_f32: f64,
-}
-
-#[derive(Serialize)]
-struct QuantReport {
-    dtype: &'static str,
-    rows: Vec<QuantBatchResult>,
-    map_f32: f64,
-    map_quant: f64,
-    /// Signed `map_quant - map_f32`, on the [0, 1] mAP scale: the paper's
-    /// "one point" budget is 0.01 here.
-    map_delta: f64,
+    /// Fastest compiled round of the `ROUNDS` timed.
+    compiled_ms_min: f64,
+    /// Slowest compiled round of the `ROUNDS` timed.
+    compiled_ms_max: f64,
 }
 
 /// Timing rounds per batch size; the reported number is the median round.
@@ -78,9 +56,6 @@ struct BenchReport {
     plan_slots: usize,
     peak_arena_bytes: usize,
     results: Vec<BatchResult>,
-    /// INT8 engine vs the f32 compiled engine, plus the end-to-end mAP
-    /// cost of quantization on the trained smoke workload.
-    quant: QuantReport,
 }
 
 /// Median of `reps` timed runs of `f`, in milliseconds.
@@ -124,7 +99,7 @@ fn main() {
         // the batch-1 speedup. Measure `ROUNDS` independent rounds and keep
         // the whole median-speedup round, so the reported eager/compiled
         // times stay a consistent pair.
-        let mut rounds: Vec<BatchResult> = (0..ROUNDS)
+        let mut rounds: Vec<(f64, f64)> = (0..ROUNDS)
             .map(|_| {
                 let eager_ms = median_ms(reps, || {
                     let _ = model.infer(&x);
@@ -132,88 +107,30 @@ fn main() {
                 let compiled_ms = median_ms(reps, || {
                     let _ = engine.run(&x);
                 });
-                BatchResult { batch, eager_ms, compiled_ms, speedup: eager_ms / compiled_ms }
+                (eager_ms, compiled_ms)
             })
             .collect();
         peak_arena = peak_arena.max(engine.arena_bytes());
-        rounds.sort_by(|a, b| a.speedup.total_cmp(&b.speedup));
-        let median = rounds.swap_remove(ROUNDS / 2);
+        let compiled = rounds.iter().map(|r| r.1);
+        let compiled_ms_min = compiled.clone().fold(f64::INFINITY, f64::min);
+        let compiled_ms_max = compiled.fold(0.0, f64::max);
+        rounds.sort_by(|a, b| (a.0 / a.1).total_cmp(&(b.0 / b.1)));
+        let (eager_ms, compiled_ms) = rounds[ROUNDS / 2];
+        let median = BatchResult {
+            batch,
+            eager_ms,
+            compiled_ms,
+            speedup: eager_ms / compiled_ms,
+            compiled_ms_min,
+            compiled_ms_max,
+        };
 
         println!(
-            "batch {batch}: eager {:8.2} ms   compiled {:8.2} ms   speedup {:.2}x (median of {ROUNDS} rounds)",
-            median.eager_ms, median.compiled_ms, median.speedup
+            "batch {batch}: eager {:8.2} ms   compiled {:8.2} ms (rounds {:.2}–{:.2})   speedup {:.2}x (median of {ROUNDS} rounds)",
+            median.eager_ms, median.compiled_ms, compiled_ms_min, compiled_ms_max, median.speedup
         );
         results.push(median);
     }
-
-    // --- INT8 quantized engine vs the f32 compiled engine -----------------
-    // Latency first (same untrained model — weights don't change the op
-    // schedule), calibrated on random batches in the input's natural range.
-    let calib: Vec<Tensor> =
-        (0..2).map(|_| Tensor::rand_uniform(&[2, 3, size, size], 0.0, 1.0, &mut rng)).collect();
-    let mut q_engine =
-        model.compile_inference_quantized(&calib).expect("bench model quantizes");
-    let mut quant_rows = Vec::new();
-    for batch in [1usize, 8] {
-        let x = Tensor::rand_uniform(&[batch, 3, size, size], 0.0, 1.0, &mut rng);
-        let _ = engine.run(&x);
-        let _ = q_engine.run(&x);
-        let mut rounds: Vec<QuantBatchResult> = (0..ROUNDS)
-            .map(|_| {
-                let f32_ms = median_ms(reps, || {
-                    let _ = engine.run(&x);
-                });
-                let quant_ms = median_ms(reps, || {
-                    let _ = q_engine.run(&x);
-                });
-                QuantBatchResult { batch, f32_ms, quant_ms, speedup_vs_f32: f32_ms / quant_ms }
-            })
-            .collect();
-        rounds.sort_by(|a, b| a.speedup_vs_f32.total_cmp(&b.speedup_vs_f32));
-        let median = rounds.swap_remove(ROUNDS / 2);
-        println!(
-            "batch {batch}: f32 {:8.2} ms   quant {:8.2} ms   speedup {:.2}x (median of {ROUNDS} rounds)",
-            median.f32_ms, median.quant_ms, median.speedup_vs_f32
-        );
-        quant_rows.push(median);
-    }
-
-    // Then the accuracy cost, on a *trained* model: the smoke-scale Table I
-    // workload (own cache tag, so the standard-scale run stays fast).
-    // The quantizer is calibrated on the validation images themselves —
-    // the recording pass it is specified against.
-    let (trained, dataset, split) = ensure_trained_yolo("quant", RunScale::Smoke, false);
-    let (val_tensors, gt) = render_val_set(&dataset, &split.val, trained.config.input_size);
-    let mut det = Detector::new(trained);
-    det.conf_thresh = 0.01; // low threshold so AP sees the full ranking
-    let f32_eval = evaluate_detector(|b| det.detect_batch(b), &val_tensors, &gt, 10);
-    let qcfg = det.model.config.clone();
-    let mut q_trained = det
-        .model
-        .compile_inference_quantized(&val_tensors)
-        .expect("trained model quantizes");
-    let q_eval = evaluate_detector(
-        |b| {
-            decode_detections(q_trained.run(b), &qcfg, det.conf_thresh)
-                .into_iter()
-                .map(|d| nms(d, det.nms_iou, NmsKind::Diou))
-                .collect()
-        },
-        &val_tensors,
-        &gt,
-        10,
-    );
-    let quant = QuantReport {
-        dtype: "i8",
-        rows: quant_rows,
-        map_f32: f32_eval.map as f64,
-        map_quant: q_eval.map as f64,
-        map_delta: (q_eval.map - f32_eval.map) as f64,
-    };
-    println!(
-        "quant mAP {:.4} vs f32 mAP {:.4} (delta {:+.4})",
-        quant.map_quant, quant.map_f32, quant.map_delta
-    );
 
     let report = BenchReport {
         config: "micro",
@@ -225,7 +142,6 @@ fn main() {
         plan_slots: engine.plan().num_slots(),
         peak_arena_bytes: peak_arena,
         results,
-        quant,
     };
     println!(
         "plan: {} values in {} slots, peak arena {:.1} KiB",

@@ -1,4 +1,4 @@
-//! Calibration utility: times one training run of YOLOv4-micro and reports
+//! Scale-calibration utility: times one training run of YOLOv4-micro and reports
 //! mAP, so the experiment scales in `RunScale` stay honest for the host
 //! machine. Not tied to a paper table.
 //!

@@ -290,8 +290,8 @@ pub fn standard_split(dataset: &SyntheticDataset) -> Split {
 /// can tell a 1-core host from a real one: `workers` is the number of
 /// serve/engine workers the benchmark drove, `threads` the GEMM worker
 /// threads each engine uses, and `host_cpus` the hardware parallelism the
-/// process saw, and `cpu_model` the processor, so a before/after pair can
-/// show it was recorded on one machine.
+/// process saw, `cpu_model` the processor and `isa` its SIMD extensions,
+/// so a before/after pair can show it was recorded on one machine.
 #[derive(Clone, Debug, Serialize)]
 pub struct HostRecord {
     /// Worker engines driven by the benchmark (1 for single-engine runs).
@@ -302,6 +302,29 @@ pub struct HostRecord {
     pub host_cpus: usize,
     /// The `model name` line of `/proc/cpuinfo`, or `unknown`.
     pub cpu_model: String,
+    /// Which of `avx2`, `fma`, `avx512f`, `avx512vnni` the CPU supports,
+    /// detected at run time (empty off x86-64).
+    pub isa: Vec<&'static str>,
+}
+
+/// The SIMD extensions [`HostRecord::isa`] reports that this CPU has.
+fn detected_isa() -> Vec<&'static str> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        [
+            ("avx2", is_x86_feature_detected!("avx2")),
+            ("fma", is_x86_feature_detected!("fma")),
+            ("avx512f", is_x86_feature_detected!("avx512f")),
+            ("avx512vnni", is_x86_feature_detected!("avx512vnni")),
+        ]
+        .into_iter()
+        .filter_map(|(name, has)| has.then_some(name))
+        .collect()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        Vec::new()
+    }
 }
 
 /// Build the standard [`HostRecord`] for a benchmark driving `workers`
@@ -321,6 +344,7 @@ pub fn host_record(workers: usize) -> HostRecord {
                     .map(|(_, v)| v.trim().to_string())
             })
             .unwrap_or_else(|| "unknown".into()),
+        isa: detected_isa(),
     }
 }
 

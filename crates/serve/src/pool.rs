@@ -879,12 +879,6 @@ impl ServePool {
         self.shared.num_classes
     }
 
-    /// Weight dtype of the model currently in the live slot (`"f32"`, or
-    /// `"i8"` after a quantized candidate is promoted).
-    pub fn live_dtype(&self) -> &'static str {
-        lock(&self.shared.live).entry.dtype().name()
-    }
-
     /// Name, version, and weight fingerprint of the model currently in the
     /// live slot.
     pub fn live_model(&self) -> (String, u64, u64) {

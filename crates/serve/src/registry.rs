@@ -47,9 +47,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use platter_obs::{metric_label, Counter, MetricsRegistry, MetricsSnapshot};
-use platter_tensor::parity::{output_error, QUANT_TOL_MEAN, QUANT_TOL_WORST};
+use platter_tensor::parity::output_error;
 use platter_tensor::serialize::{Bytes, WeightError};
-use platter_tensor::{DType, PlanWeights, QuantError, Tensor};
+use platter_tensor::{PlanWeights, Tensor};
 use platter_yolo::{CompiledModel, YoloConfig, Yolov4};
 use serde::Serialize;
 
@@ -93,26 +93,6 @@ impl ModelEntry {
         }
     }
 
-    /// Like [`ModelEntry::from_model`], but the master engine is the INT8
-    /// path from [`Yolov4::compile_inference_quantized`], calibrated on
-    /// `calibration`. The eager-fallback weight snapshot stays f32 (eager
-    /// replicas exist for reference answers, not throughput).
-    pub(crate) fn from_model_quantized(
-        name: &str,
-        version: u64,
-        model: &Yolov4,
-        calibration: &[Tensor],
-    ) -> Result<ModelEntry, QuantError> {
-        Ok(ModelEntry {
-            name: name.to_string(),
-            version,
-            label: format!("{}-v{}", metric_label(name), version),
-            cfg: model.config.clone(),
-            weights: model.save(),
-            engine: model.compile_inference_quantized(calibration)?,
-        })
-    }
-
     pub(crate) fn name(&self) -> &str {
         &self.name
     }
@@ -134,17 +114,9 @@ impl ModelEntry {
     }
 
     /// Content identity of the folded weights (two entries with equal
-    /// fingerprints answer bit-identically). The fingerprint mixes the
-    /// weight dtype, so an f32 and an i8 build of the same checkpoint are
-    /// distinct manifest identities.
+    /// fingerprints answer bit-identically).
     pub(crate) fn fingerprint(&self) -> u64 {
         self.engine.weights_fingerprint()
-    }
-
-    /// Numeric format of the compiled engine's weights ([`DType::I8`] for
-    /// quantized entries).
-    pub(crate) fn dtype(&self) -> DType {
-        self.engine.dtype()
     }
 
     /// Fork a private executor off the master engine (shares plan +
@@ -247,9 +219,6 @@ pub enum RegistryError {
         /// Pool class count.
         pool_classes: usize,
     },
-    /// The INT8 build of the candidate failed: empty calibration set,
-    /// non-finite recorded ranges, or nothing quantizable.
-    Quant(QuantError),
     /// No registered model under this key.
     UnknownModel {
         /// The key looked up.
@@ -298,7 +267,6 @@ impl std::fmt::Display for RegistryError {
                 f,
                 "model {key} serves {model_classes} classes but the pool was compiled for {pool_classes}"
             ),
-            RegistryError::Quant(e) => write!(f, "candidate failed to quantize: {e}"),
             RegistryError::UnknownModel { key } => write!(f, "no model registered as {key}"),
             RegistryError::NotEligible { key, state } => {
                 write!(f, "model {key} is {state}, not eligible for this operation")
@@ -317,12 +285,6 @@ impl std::error::Error for RegistryError {}
 impl From<WeightError> for RegistryError {
     fn from(e: WeightError) -> RegistryError {
         RegistryError::Weights(e)
-    }
-}
-
-impl From<QuantError> for RegistryError {
-    fn from(e: QuantError) -> RegistryError {
-        RegistryError::Quant(e)
     }
 }
 
@@ -409,10 +371,8 @@ pub enum CanaryDecision {
 pub struct SwapReport {
     /// Key now live.
     pub key: String,
-    /// Weight fingerprint now live (mixes the weight dtype).
+    /// Weight fingerprint now live.
     pub fingerprint: u64,
-    /// Weight dtype now live (`"f32"` or `"i8"`).
-    pub dtype: &'static str,
     /// Key of the displaced incumbent, when the registry knew it.
     pub retired: Option<String>,
 }
@@ -428,11 +388,8 @@ pub struct ModelInfo {
     pub version: u64,
     /// Rollout state.
     pub state: ModelState,
-    /// Weight fingerprint (0 once retired). Mixes the weight dtype, so the
-    /// same checkpoint compiled f32 and i8 has two distinct identities.
+    /// Weight fingerprint (0 once retired).
     pub fingerprint: u64,
-    /// Weight dtype of the compiled engine (`"f32"` or `"i8"`).
-    pub dtype: &'static str,
 }
 
 struct Record {
@@ -441,9 +398,6 @@ struct Record {
     version: u64,
     state: ModelState,
     fingerprint: u64,
-    /// Weight dtype of the compiled engine; survives retirement so the
-    /// registry's history stays honest after the entry is dropped.
-    dtype: &'static str,
     /// Dropped on retirement — the registry must not keep retired weights
     /// alive.
     entry: Option<Arc<ModelEntry>>,
@@ -487,12 +441,7 @@ impl RegistryMetrics {
             RegistryError::Weights(WeightError::Incompatible(_))
             | RegistryError::Incompatible { .. } => self.rejected_incompatible.inc(),
             RegistryError::Weights(_) => self.rejected_corrupt.inc(),
-            // A quantization failure is a numeric-quality rejection (the
-            // calibration pass saw non-finite activations, or nothing could
-            // be quantized) — same family as a parity miss.
-            RegistryError::ParityFail { .. }
-            | RegistryError::Smoke { .. }
-            | RegistryError::Quant(_) => self.rejected_parity.inc(),
+            RegistryError::ParityFail { .. } | RegistryError::Smoke { .. } => self.rejected_parity.inc(),
             _ => {}
         }
     }
@@ -553,7 +502,6 @@ impl ModelRegistry {
             version: entry.version(),
             state: ModelState::Live,
             fingerprint: entry.fingerprint(),
-            dtype: entry.dtype().name(),
             entry: Some(entry),
         });
         Ok(key)
@@ -572,36 +520,6 @@ impl ModelRegistry {
         model_cfg: YoloConfig,
         path: &Path,
     ) -> Result<String, RegistryError> {
-        self.load_file_with(name, version, model_cfg, path, None)
-    }
-
-    /// Like [`ModelRegistry::load_file`], but the candidate is compiled
-    /// through the INT8 path ([`Yolov4::compile_inference_quantized`],
-    /// calibrated on `calibration`) and parity-smoked against its f32 eager
-    /// reference under the **loosened quantization bounds**
-    /// ([`QUANT_TOL_WORST`] / [`QUANT_TOL_MEAN`]) — 8-bit rounding moves
-    /// individual elements legitimately, so the f32 smoke bounds would
-    /// reject every honest quantized build. Everything else is identical:
-    /// CRC-verified load, typed rejections, `Smoked` on success.
-    pub fn load_file_quantized(
-        &self,
-        name: &str,
-        version: u64,
-        model_cfg: YoloConfig,
-        path: &Path,
-        calibration: &[Tensor],
-    ) -> Result<String, RegistryError> {
-        self.load_file_with(name, version, model_cfg, path, Some(calibration))
-    }
-
-    fn load_file_with(
-        &self,
-        name: &str,
-        version: u64,
-        model_cfg: YoloConfig,
-        path: &Path,
-        quantize: Option<&[Tensor]>,
-    ) -> Result<String, RegistryError> {
         let attempt = self.attempt_seq.fetch_add(1, Ordering::SeqCst);
         let mut corrupt_candidate = false;
         let mut parity_fail = false;
@@ -615,19 +533,17 @@ impl ModelRegistry {
                 _ => {}
             }
         }
-        self.load_file_inner(name, version, model_cfg, path, quantize, corrupt_candidate, parity_fail)
+        self.load_file_inner(name, version, model_cfg, path, corrupt_candidate, parity_fail)
             .inspect(|_| self.metrics.loads.inc())
             .inspect_err(|e| self.metrics.on_reject(e))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn load_file_inner(
         &self,
         name: &str,
         version: u64,
         model_cfg: YoloConfig,
         path: &Path,
-        quantize: Option<&[Tensor]>,
         corrupt_candidate: bool,
         parity_fail: bool,
     ) -> Result<String, RegistryError> {
@@ -650,12 +566,7 @@ impl ModelRegistry {
         // Strict decode: truncation/bit-flips surface as Malformed/Corrupt,
         // wrong-architecture checkpoints as Incompatible.
         let model = Yolov4::from_weights(model_cfg, &buf)?;
-        let entry = Arc::new(match quantize {
-            Some(calibration) => {
-                ModelEntry::from_model_quantized(name, version, &model, calibration)?
-            }
-            None => ModelEntry::from_model(name, version, &model),
-        });
+        let entry = Arc::new(ModelEntry::from_model(name, version, &model));
         {
             // The record exists (Loaded) while the smoke runs; it is removed
             // again if the smoke rejects the candidate.
@@ -666,8 +577,7 @@ impl ModelRegistry {
                 version,
                 state: ModelState::Loaded,
                 fingerprint: entry.fingerprint(),
-                dtype: entry.dtype().name(),
-                entry: Some(entry.clone()),
+                    entry: Some(entry.clone()),
             });
         }
         if parity_fail {
@@ -696,16 +606,8 @@ impl ModelRegistry {
     }
 
     /// Run the candidate's compiled plan against its eager reference on a
-    /// deterministic batch and enforce the parity bounds. A quantized
-    /// candidate is held to the loosened quantization bounds instead of
-    /// the configured f32 bounds — the eager reference is always f32, so
-    /// i8 rounding noise is expected and only bulk shifts or non-finite
-    /// outputs must reject.
+    /// deterministic batch and enforce the configured parity bounds.
     fn smoke(&self, entry: &ModelEntry, model: &Yolov4) -> Result<(), RegistryError> {
-        let (tol_worst, tol_mean) = match entry.dtype() {
-            DType::I8 => (QUANT_TOL_WORST, QUANT_TOL_MEAN),
-            DType::F32 => (self.cfg.parity_worst, self.cfg.parity_mean),
-        };
         let s = entry.input_size();
         let n = self.cfg.smoke_batch.max(1);
         // Deterministic pseudo-random pixels in [0, 1): the smoke must
@@ -726,7 +628,7 @@ impl ModelRegistry {
             worst = worst.max(w);
             mean = mean.max(m);
         }
-        if worst > tol_worst || mean > tol_mean {
+        if worst > self.cfg.parity_worst || mean > self.cfg.parity_mean {
             return Err(RegistryError::ParityFail { worst, mean });
         }
         Ok(())
@@ -765,7 +667,6 @@ impl ModelRegistry {
     /// The single place the live slot changes hands.
     fn flip(&self, pool: &ServePool, key: &str, entry: Arc<ModelEntry>) -> SwapReport {
         let fingerprint = entry.fingerprint();
-        let dtype = entry.dtype().name();
         let displaced = pool.swap_live(entry);
         let mut records = lock(&self.records);
         let mut retired_key = None;
@@ -782,7 +683,7 @@ impl ModelRegistry {
         // registry record (if adopted) and still-draining workers hold it.
         drop(displaced);
         self.metrics.swaps.inc();
-        SwapReport { key: key.to_string(), fingerprint, dtype, retired: retired_key }
+        SwapReport { key: key.to_string(), fingerprint, retired: retired_key }
     }
 
     /// Start mirroring `num/den` of the pool's default traffic onto `key`
@@ -928,7 +829,6 @@ impl ModelRegistry {
                 version: r.version,
                 state: r.state,
                 fingerprint: r.fingerprint,
-                dtype: r.dtype,
             })
             .collect()
     }
@@ -959,9 +859,7 @@ impl ModelRegistry {
 
     /// Gate a model against the pool's compiled expectations before it can
     /// touch traffic: input size (the admission pipeline is sized for it)
-    /// and class count (the label space clients decode against). A dtype
-    /// *difference* is deliberately not a mismatch — promoting an i8 build
-    /// into an f32 pool is the whole point of the quantized rollout path.
+    /// and class count (the label space clients decode against).
     /// Failures bump the typed rejection counters
     /// (`registry.rejected.incompatible` for an architecture mismatch).
     fn check_compatible(

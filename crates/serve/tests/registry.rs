@@ -434,6 +434,9 @@ fn routed_requests_pin_their_model_and_unknown_routes_are_refused() {
         })
         .collect();
     assert_eq!(got, want_b, "routed requests must serve on the pinned model");
+    for (_, score, _) in got.iter().flatten() {
+        assert!(f32::from_bits(*score).is_finite(), "a routed candidate must answer finite detections");
+    }
     let default_answer = ask(&pool, 0);
     assert_ne!(default_answer, want_b[0], "default traffic must not follow the route");
 
@@ -477,6 +480,11 @@ fn state_machine_guards_refuse_illegal_transitions() {
         registry.start_shadow(&pool, &key, 0, 4),
         Err(RegistryError::BadFraction { .. })
     ));
+    // A proper fraction starts; stopping demotes the candidate to Smoked.
+    registry.start_shadow(&pool, &key, 1, 1).expect("shadows");
+    assert_eq!(registry.state(&key), Some(ModelState::Shadow));
+    assert_eq!(registry.stop_shadow(&pool).expect("stops"), key);
+    assert_eq!(registry.state(&key), Some(ModelState::Smoked));
 
     // A drained incumbent cannot be swapped back in or routed.
     registry.hot_swap(&pool, &key).expect("swap");
@@ -493,94 +501,6 @@ fn state_machine_guards_refuse_illegal_transitions() {
         Err(RegistryError::NoShadow)
     ));
     assert!(matches!(registry.stop_shadow(&pool), Err(RegistryError::NoShadow)));
-    pool.shutdown();
-}
-
-/// Deterministic `[2, 3, 32, 32]` calibration batches for quantized loads.
-fn calibration_batches(n: usize) -> Vec<Tensor> {
-    (0..n)
-        .map(|b| {
-            let data: Vec<f32> = (0..2 * 3 * 32 * 32)
-                .map(|i| ((i * 17 + b * 101) % 239) as f32 / 239.0)
-                .collect();
-            Tensor::from_vec(data, &[2, 3, 32, 32])
-        })
-        .collect()
-}
-
-#[test]
-fn quantized_candidate_rides_the_full_rollout_path() {
-    let incumbent = nano_model(16);
-    let pool = ServePool::new(&incumbent, serve_cfg(1, "inc"));
-    let registry = ModelRegistry::default();
-    registry.adopt_live(&pool).expect("adopt");
-
-    // Same weights, INT8 build: loads, compiles through the quantized
-    // path, and passes the *loosened* parity smoke (the f32 bounds would
-    // reject honest i8 rounding, which is exactly what the default config
-    // encodes for f32 candidates).
-    let key = registry
-        .load_file_quantized(
-            "inc",
-            1,
-            nano_cfg(),
-            &weights_file(&incumbent, "quant-candidate"),
-            &calibration_batches(3),
-        )
-        .expect("quantized candidate loads and smokes");
-    assert_eq!(registry.state(&key), Some(ModelState::Smoked));
-
-    // The registry records the dtype per model, and the i8 build is a
-    // distinct weight identity from the f32 incumbent built on the very
-    // same checkpoint.
-    let infos = registry.list();
-    let inc = infos.iter().find(|m| m.version == 0).expect("incumbent listed");
-    let quant = infos.iter().find(|m| m.key == key).expect("candidate listed");
-    assert_eq!(inc.dtype, "f32");
-    assert_eq!(quant.dtype, "i8");
-    assert_ne!(inc.fingerprint, quant.fingerprint, "dtype must be part of the manifest identity");
-
-    // Routable: explicitly routed requests serve on the i8 engine.
-    registry.route(&pool, &key).expect("routes");
-    let x = test_tensor(0);
-    let routed = pool.submit(Request::tensor(&x).route(&key)).expect("admitted").wait().expect("answered");
-    for d in &routed {
-        assert!(d.score.is_finite(), "quantized route must answer finite detections");
-    }
-    registry.unroute(&pool, &key);
-
-    // Shadow-able: mirror every default batch, then stop cleanly.
-    registry.start_shadow(&pool, &key, 1, 1).expect("shadows");
-    assert_eq!(registry.state(&key), Some(ModelState::Shadow));
-    for i in 0..4 {
-        ask(&pool, i);
-    }
-    // The mirror executes after the client's reply is delivered; give the
-    // worker a moment to finish diffing the final batch.
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    let status = loop {
-        let status = pool.shadow_status().expect("shadow running");
-        if status.batches == 4 || std::time::Instant::now() > deadline {
-            break status;
-        }
-        std::thread::yield_now();
-    };
-    assert_eq!(status.batches, 4, "every default batch must have been mirrored");
-    assert_eq!(status.errors, 0, "the i8 engine must not fail a shadow execution");
-    assert_eq!(registry.stop_shadow(&pool).expect("stops"), key);
-
-    // Hot-swappable: the i8 build takes the live slot mid-stream with zero
-    // dropped jobs, and the pool reports the live dtype flip.
-    assert_eq!(pool.live_dtype(), "f32");
-    let report = registry.hot_swap(&pool, &key).expect("swaps");
-    assert_eq!(report.dtype, "i8");
-    for i in 4..8 {
-        ask(&pool, i);
-    }
-    assert_eq!(pool.live_dtype(), "i8");
-    let stats = pool.stats();
-    assert_eq!(stats.accepted, stats.completed, "a swap to i8 dropped an accepted job");
-    assert_eq!(registry.retire_drained().len(), 1, "the f32 incumbent drains and retires");
     pool.shutdown();
 }
 

@@ -5,13 +5,11 @@
 //!
 //! - [`gemm_into`] / [`matmul`] serve the autograd tape: `I_TILE`×`J_TILE`
 //!   register tiles, row bands across threads.
-//! - [`gemm_fused`] is the planned executor's conv GEMM, the one driver
-//!   both precisions share. A [`FusedKernel`] supplies the dtype half —
-//!   accumulator start value, multiply-accumulate, epilogue, optionally a
-//!   SIMD wide tile ([`BiasAct`] here for f32, `qgemm::DequantBiasAct` for
-//!   i8) — and the driver does the rest: column panels across threads,
-//!   `I_TILE`×`J_TILE` wide tiles, a narrow tile for the columns left over
-//!   (all of them when `n < J_TILE`), and the epilogue writeback in
+//! - [`gemm_fused`] is the planned executor's conv GEMM: accumulators
+//!   start at the row's bias and the [`BiasAct`] activation is applied at
+//!   writeback. It splits the work into column panels across threads,
+//!   `I_TILE`×`J_TILE` wide tiles, and a narrow tile for the columns left
+//!   over (all of them when `n < J_TILE`), and writes the result in
 //!   batch-folded NCHW order, so one GEMM can cover several batch items.
 //!
 //! The narrow tile vectorises over output rows instead of columns: 8 rows
@@ -19,7 +17,7 @@
 //! broadcast, so a 2×2 feature map (`n = 4`) still keeps a register tile
 //! busy. It never copies or transposes the weights.
 //!
-//! Every path computes an output element as its start value plus plain
+//! Every path computes an output element as its bias plus plain
 //! `acc + a·b` steps in ascending `k` — no FMA contraction, no reordering
 //! — so the bits of an element depend on neither the thread count, the
 //! fold group, nor the tile that produced it.
@@ -103,60 +101,14 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 /// Column width of the wide register tile (4 SSE vectors).
 pub const J_TILE: usize = 16;
 /// Row height of the wide register tile.
-pub const I_TILE: usize = 4;
+const I_TILE: usize = 4;
 /// Output rows the narrow tile vectorises over.
 const R_TILE: usize = 8;
 /// Output columns the narrow tile computes per pass over `k`.
 const N_TILE: usize = 4;
 
-/// The per-dtype half of a fused GEMM: element and accumulator types, the
-/// multiply-accumulate, the epilogue, and optionally a faster wide tile.
-/// [`gemm_fused`] is the other half — tiling, threading and writeback —
-/// shared by every dtype.
-///
-/// Output element `(i, j)` is `finish(i, acc)` where `acc` starts at
-/// `init(i)` and takes `acc = mac(acc, a[i,p], b[p,j])` for `p = 0, 1, …,
-/// k-1` in that order. Every path of the driver keeps exactly this order,
-/// so an element's bits do not depend on which tile, panel or fold group
-/// produced it.
-pub trait FusedKernel: Sync {
-    /// Element of the row-major `[m, k]` weight matrix `A`.
-    type A: Copy + Sync;
-    /// Element of the row-major `[k, n]` column matrix `B`.
-    type B: Copy + Sync;
-    /// Accumulator.
-    type Acc: Copy;
-    /// Shared dimensions `k ≥ K_MAX` are refused: the accumulator could
-    /// overflow.
-    const K_MAX: usize = usize::MAX;
-    /// Accumulator start value for output row `row`.
-    fn init(&self, row: usize) -> Self::Acc;
-    /// One multiply-accumulate step.
-    fn mac(acc: Self::Acc, a: Self::A, b: Self::B) -> Self::Acc;
-    /// Epilogue: the f32 value stored for a finished accumulator of `row`.
-    fn finish(&self, row: usize, acc: Self::Acc) -> f32;
-    /// Accumulate rows `i0..i0+ib` (`ib ≤ I_TILE`) × columns
-    /// `j..j+J_TILE` of `A·B` into `acc`, which holds the `init` values.
-    /// Override only with a kernel that yields the same bits as
-    /// [`portable_tile`].
-    #[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the tile origin
-    fn wide_tile(
-        &self,
-        a: &[Self::A],
-        b: &[Self::B],
-        k: usize,
-        n: usize,
-        i0: usize,
-        ib: usize,
-        j: usize,
-        acc: &mut [[Self::Acc; J_TILE]; I_TILE],
-    ) {
-        portable_tile::<Self>(a, b, k, n, i0, ib, j, acc)
-    }
-}
-
-/// The f32 conv epilogue: accumulators start at the row's bias and the
-/// activation is applied to the finished sum.
+/// The conv epilogue of [`gemm_fused`]: accumulators start at the row's
+/// bias and the activation is applied to the finished sum.
 #[derive(Clone, Copy, Debug)]
 pub struct BiasAct<'a> {
     /// One bias per output row.
@@ -165,69 +117,52 @@ pub struct BiasAct<'a> {
     pub act: Activation,
 }
 
-impl FusedKernel for BiasAct<'_> {
-    type A = f32;
-    type B = f32;
-    type Acc = f32;
-
-    #[inline(always)]
-    fn init(&self, row: usize) -> f32 {
-        self.bias[row]
-    }
-
-    #[inline(always)]
-    fn mac(acc: f32, a: f32, b: f32) -> f32 {
-        acc + a * b
-    }
-
-    #[inline(always)]
-    fn finish(&self, _row: usize, acc: f32) -> f32 {
-        self.act.eval(acc)
-    }
-}
-
-/// The portable wide tile: plain [`FusedKernel::mac`] steps in ascending
-/// `k`, `IB`×`J_TILE` accumulators held in registers.
+/// The wide tile: rows `i0..i0+ib` (`ib ≤ I_TILE`) × columns
+/// `j..j+J_TILE` of `A·B` accumulated onto `acc` (which holds the biases)
+/// in ascending `k`, `ib`×`J_TILE` accumulators held in registers. Kept
+/// out of line: inlined into `fused_cols` it measured a few percent
+/// slower on the micro model's forward.
 #[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the tile origin
-pub fn portable_tile<K: FusedKernel + ?Sized>(
-    a: &[K::A],
-    b: &[K::B],
+#[inline(never)]
+fn wide_tile(
+    a: &[f32],
+    b: &[f32],
     k: usize,
     n: usize,
     i0: usize,
     ib: usize,
     j: usize,
-    acc: &mut [[K::Acc; J_TILE]; I_TILE],
+    acc: &mut [[f32; J_TILE]; I_TILE],
 ) {
     match ib {
-        4 => tile_rows::<K, 4>(a, b, k, n, i0, j, acc),
-        3 => tile_rows::<K, 3>(a, b, k, n, i0, j, acc),
-        2 => tile_rows::<K, 2>(a, b, k, n, i0, j, acc),
-        _ => tile_rows::<K, 1>(a, b, k, n, i0, j, acc),
+        4 => tile_rows::<4>(a, b, k, n, i0, j, acc),
+        3 => tile_rows::<3>(a, b, k, n, i0, j, acc),
+        2 => tile_rows::<2>(a, b, k, n, i0, j, acc),
+        _ => tile_rows::<1>(a, b, k, n, i0, j, acc),
     }
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the tile origin
 #[allow(clippy::needless_range_loop)] // p walks A rows and B rows in lockstep
-fn tile_rows<K: FusedKernel + ?Sized, const IB: usize>(
-    a: &[K::A],
-    b: &[K::B],
+fn tile_rows<const IB: usize>(
+    a: &[f32],
+    b: &[f32],
     k: usize,
     n: usize,
     i0: usize,
     j: usize,
-    acc: &mut [[K::Acc; J_TILE]; I_TILE],
+    acc: &mut [[f32; J_TILE]; I_TILE],
 ) {
-    let arows: [&[K::A]; IB] = std::array::from_fn(|ii| &a[(i0 + ii) * k..(i0 + ii) * k + k]);
-    let mut r: [[K::Acc; J_TILE]; IB] = std::array::from_fn(|ii| acc[ii]);
+    let arows: [&[f32]; IB] = std::array::from_fn(|ii| &a[(i0 + ii) * k..(i0 + ii) * k + k]);
+    let mut r: [[f32; J_TILE]; IB] = std::array::from_fn(|ii| acc[ii]);
     for p in 0..k {
         let off = p * n + j;
-        let bt: &[K::B; J_TILE] = b[off..off + J_TILE].try_into().expect("tile lies inside B");
+        let bt: &[f32; J_TILE] = b[off..off + J_TILE].try_into().expect("tile lies inside B");
         for ii in 0..IB {
             let av = arows[ii][p];
             for t in 0..J_TILE {
-                r[ii][t] = K::mac(r[ii][t], av, bt[t]);
+                r[ii][t] += av * bt[t];
             }
         }
     }
@@ -241,60 +176,57 @@ fn tile_rows<K: FusedKernel + ?Sized, const IB: usize>(
 /// valid one; the caller writes back only the valid part.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the tile origin
-fn narrow_tile<K: FusedKernel>(
-    kern: &K,
-    a: &[K::A],
-    b: &[K::B],
+fn narrow_tile(
+    bias: &[f32],
+    a: &[f32],
+    b: &[f32],
     m: usize,
     k: usize,
     n: usize,
     i0: usize,
     j0: usize,
     j1: usize,
-) -> [[K::Acc; R_TILE]; N_TILE] {
+) -> [[f32; R_TILE]; N_TILE] {
     let rows: [usize; R_TILE] = std::array::from_fn(|r| (i0 + r).min(m - 1));
     let cols: [usize; N_TILE] = std::array::from_fn(|t| (j0 + t).min(j1 - 1));
-    let arows: [&[K::A]; R_TILE] = std::array::from_fn(|r| &a[rows[r] * k..rows[r] * k + k]);
-    let mut acc = [std::array::from_fn::<_, R_TILE, _>(|r| kern.init(rows[r])); N_TILE];
+    let arows: [&[f32]; R_TILE] = std::array::from_fn(|r| &a[rows[r] * k..rows[r] * k + k]);
+    let mut acc = [std::array::from_fn::<_, R_TILE, _>(|r| bias[rows[r]]); N_TILE];
     for p in 0..k {
-        let av: [K::A; R_TILE] = std::array::from_fn(|r| arows[r][p]);
+        let av: [f32; R_TILE] = std::array::from_fn(|r| arows[r][p]);
         let brow = &b[p * n..p * n + n];
         for t in 0..N_TILE {
             let bv = brow[cols[t]];
             for r in 0..R_TILE {
-                acc[t][r] = K::mac(acc[t][r], av[r], bv);
+                acc[t][r] += av[r] * bv;
             }
         }
     }
     acc
 }
 
-/// `C = finish(init + A·B)` for `A: [m, k]`, `B: [k, n]`, written to `c`
+/// `C = act(bias + A·B)` for `A: [m, k]`, `B: [k, n]`, written to `c`
 /// in batch-folded NCHW order (previous contents ignored): column `j` of
 /// the product is pixel `j % hw` of item `j / hw`, and item `b`'s `[m, hw]`
 /// plane starts at `c[b·m·hw]`. `hw = n` gives a plain row-major `[m, n]`.
 ///
-/// This is the one driver every fused GEMM runs through; a
-/// [`FusedKernel`] supplies the dtype-specific half. Work splits into
-/// **column panels**, one per worker (at most `threads`, never narrower
-/// than one wide tile, serial below 2^18 multiply-adds); inside a panel,
-/// `I_TILE`×`J_TILE` wide tiles cover whole `J_TILE` column blocks and the
-/// narrow tile covers the rest. Each output element is computed once, in
-/// the [`FusedKernel`] order, so results are **bit-identical for any
-/// thread count, fold group, or tile path**.
+/// Work splits into **column panels**, one per worker (at most `threads`,
+/// never narrower than one wide tile, serial below 2^18 multiply-adds);
+/// inside a panel, `I_TILE`×`J_TILE` wide tiles cover whole `J_TILE`
+/// column blocks and the narrow tile covers the rest. Each output element is computed once, as
+/// its bias plus `acc + a·b` steps in ascending `k`, so results are
+/// **bit-identical for any thread count, fold group, or tile path**.
 #[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the epilogue
-pub fn gemm_fused<K: FusedKernel>(
+pub fn gemm_fused(
     threads: usize,
-    kern: &K,
-    a: &[K::A],
-    b: &[K::B],
+    kern: &BiasAct<'_>,
+    a: &[f32],
+    b: &[f32],
     c: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
     hw: usize,
 ) {
-    assert!(k < K::K_MAX, "GEMM shared dim {k} could overflow the accumulator (limit {})", K::K_MAX);
     assert!(hw > 0 && n.is_multiple_of(hw), "GEMM columns {n} are not whole items of {hw} pixels");
     assert_eq!(a.len(), m * k, "A must be [{m}, {k}]");
     assert_eq!(b.len(), k * n, "B must be [{k}, {n}]");
@@ -373,10 +305,10 @@ impl OutPtr {
 /// thread may concurrently write columns `[j0, j1)` of it.
 #[allow(clippy::too_many_arguments)] // flat GEMM geometry plus the panel bounds
 #[allow(clippy::needless_range_loop)] // r indexes rows inside per-column accumulators
-unsafe fn fused_cols<K: FusedKernel>(
-    kern: &K,
-    a: &[K::A],
-    b: &[K::B],
+unsafe fn fused_cols(
+    kern: &BiasAct<'_>,
+    a: &[f32],
+    b: &[f32],
     c: OutPtr,
     m: usize,
     k: usize,
@@ -390,11 +322,11 @@ unsafe fn fused_cols<K: FusedKernel>(
         let ib = I_TILE.min(m - i);
         let mut j = j0;
         while j < jw {
-            let mut acc: [[K::Acc; J_TILE]; I_TILE] =
-                std::array::from_fn(|ii| [kern.init((i + ii).min(m - 1)); J_TILE]);
-            kern.wide_tile(a, b, k, n, i, ib, j, &mut acc);
+            let mut acc: [[f32; J_TILE]; I_TILE] =
+                std::array::from_fn(|ii| [kern.bias[(i + ii).min(m - 1)]; J_TILE]);
+            wide_tile(a, b, k, n, i, ib, j, &mut acc);
             for (ii, row) in acc.iter().enumerate().take(ib) {
-                let vals: [f32; J_TILE] = std::array::from_fn(|t| kern.finish(i + ii, row[t]));
+                let vals: [f32; J_TILE] = std::array::from_fn(|t| kern.act.eval(row[t]));
                 c.write_run(i + ii, j, &vals);
             }
             j += J_TILE;
@@ -407,9 +339,9 @@ unsafe fn fused_cols<K: FusedKernel>(
         let mut j = jw;
         while j < j1 {
             let jb = N_TILE.min(j1 - j);
-            let acc = narrow_tile(kern, a, b, m, k, n, i, j, j1);
+            let acc = narrow_tile(kern.bias, a, b, m, k, n, i, j, j1);
             for r in 0..rb {
-                let vals: [f32; N_TILE] = std::array::from_fn(|t| kern.finish(i + r, acc[t][r]));
+                let vals: [f32; N_TILE] = std::array::from_fn(|t| kern.act.eval(acc[t][r]));
                 c.write_run(i + r, j, &vals[..jb]);
             }
             j += jb;
@@ -445,9 +377,6 @@ fn serial_band(a: &[f32], b: &[f32], c: &mut [f32], _m: usize, k: usize, n: usiz
                 let arow = &a[(row0 + i + ii) * k..(row0 + i + ii + 1) * k];
                 let crow = &mut c[(i + ii) * n..(i + ii + 1) * n];
                 for (p, &av) in arow.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
                     let brow = &b[p * n..(p + 1) * n];
                     for jj in j..n {
                         crow[jj] += av * brow[jj];
@@ -555,6 +484,21 @@ mod tests {
             let slow = naive(&a, &b);
             for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
                 assert!((x - y).abs() < 1e-3, "({m},{k},{n}): {x} vs {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_b_propagates_to_every_column() {
+        // 0·NaN and 0·±Inf are NaN, so a zero weight must not hide a
+        // non-finite input — in the register tiles (columns 0–15) or in
+        // the scalar tail (column 16).
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let a = Tensor::from_vec(vec![0.0], &[1, 1]);
+            let b = Tensor::from_vec(vec![bad; J_TILE + 1], &[1, J_TILE + 1]);
+            let c = matmul(&a, &b);
+            for (j, v) in c.as_slice().iter().enumerate() {
+                assert!(v.is_nan(), "B = {bad}: column {j} is {v}, want NaN");
             }
         }
     }

@@ -44,8 +44,6 @@ pub mod ops;
 mod param;
 pub mod parity;
 pub mod plan;
-pub mod qgemm;
-pub mod quant;
 pub mod optim;
 pub mod serialize;
 mod shape;
@@ -65,7 +63,6 @@ pub use tensor::Tensor;
 
 pub use ops::Conv2dSpec;
 pub use plan::{ExecError, Executor, Plan, Planner, ValueId};
-pub use quant::{quantize_plan, Calibration, QuantError};
-pub use weights::{DType, PlanWeights, WeightId};
+pub use weights::{PlanWeights, WeightId};
 
 pub use crate::ops::softmax_rows;

@@ -40,23 +40,20 @@ pub(crate) fn is_pointwise(kh: usize, kw: usize, spec: Conv2dSpec) -> bool {
 /// Unfold `x[n]` into a `[cin*kh*kw, hout*wout]` column matrix whose rows
 /// sit `ld ≥ hout*wout` elements apart in `col` — `ld = hout*wout` for a
 /// dense matrix; the planned executor passes a wider stride to lay several
-/// batch items side by side. Generic over the element type so the f32 and
-/// quantized (i8) executors share one unfolding routine; padding cells take
-/// `T::default()` (0.0 / 0 — for symmetric i8 quantization, zero-point is
-/// 0, so integer zero *is* the quantized padding value).
+/// batch items side by side. Padding cells are zero.
 #[allow(clippy::too_many_arguments)] // conv geometry plus the column stride
-pub(crate) fn im2col<T: Copy + Default>(
-    x: &[T],
+pub(crate) fn im2col(
+    x: &[f32],
     (cin, h, w): (usize, usize, usize),
     (kh, kw): (usize, usize),
     spec: Conv2dSpec,
     (hout, wout): (usize, usize),
-    col: &mut [T],
+    col: &mut [f32],
     ld: usize,
 ) {
     let hw = hout * wout;
     debug_assert!(ld >= hw && col.len() >= (cin * kh * kw - 1) * ld + hw);
-    let zero = T::default();
+    let zero = 0.0;
     let mut row = 0usize;
     for c in 0..cin {
         let plane = &x[c * h * w..(c + 1) * h * w];

@@ -65,32 +65,6 @@ pub fn assert_outputs_match(eager: &[Tensor], planned: &[Tensor], tol_worst: f32
     }
 }
 
-/// Worst-element parity bound for INT8-quantized plans against their f32
-/// twin, in the same `|a − b| / (1 + |a|)` measure as
-/// [`assert_outputs_match`].
-///
-/// Deliberately orders of magnitude looser than the f32 compiled-vs-eager
-/// bounds: 8-bit post-training quantization *rounds* every weight and
-/// activation to one of 255 levels, so individual elements legitimately
-/// move by a visible fraction of their magnitude. What quantization must
-/// not do is shift the bulk of the distribution (that is what destroys
-/// detection mAP) or produce non-finite values — hence a loose worst bound,
-/// a much tighter mean bound ([`QUANT_TOL_MEAN`]), and the NaN-poisoning of
-/// [`output_error`]. The end-to-end guarantee is the mAP-delta gate (≤ 1
-/// point vs f32) that the yolo quant parity suite checks on the Table I
-/// workload.
-pub const QUANT_TOL_WORST: f32 = 0.75;
-
-/// Mean parity bound for quantized plans; see [`QUANT_TOL_WORST`].
-pub const QUANT_TOL_MEAN: f64 = 0.03;
-
-/// [`assert_outputs_match`] with the loosened quantization bounds — the
-/// harness every quantized-plan parity test (and the registry's quantized
-/// parity smoke) shares.
-pub fn assert_quantized_outputs_match(f32_outs: &[Tensor], quant_outs: &[Tensor]) {
-    assert_outputs_match(f32_outs, quant_outs, QUANT_TOL_WORST, QUANT_TOL_MEAN);
-}
-
 /// The `(worst, mean)` relative error between two same-shaped tensors, using
 /// the same `|a − b| / (1 + |a|)` measure as [`assert_outputs_match`].
 ///
@@ -148,28 +122,6 @@ mod tests {
         let nan = Tensor::from_vec(vec![1.0, f32::NAN], &[2]);
         let (worst, _) = output_error(&a, &nan);
         assert_eq!(worst, f32::INFINITY, "NaN must never pass a parity bound");
-    }
-
-    #[test]
-    fn quant_bounds_admit_rounding_but_not_bulk_shift() {
-        // Rounding noise of the size i8 quantization introduces passes…
-        let a = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], &[4]);
-        let b = Tensor::from_vec(vec![1.02, -1.97, 0.51, 2.95], &[4]);
-        assert_quantized_outputs_match(std::slice::from_ref(&a), std::slice::from_ref(&b));
-        // …a NaN never does, even under the loosened bounds.
-        let nan = Tensor::from_vec(vec![1.0, f32::NAN, 0.5, 3.0], &[4]);
-        let (worst, _) = output_error(&a, &nan);
-        assert!(worst > QUANT_TOL_WORST);
-    }
-
-    #[test]
-    #[should_panic(expected = "mean error")]
-    fn quant_bounds_reject_a_bulk_shift() {
-        // Every element off by ~20%: within the worst bound, but the mean
-        // bound catches the systematic shift.
-        let a = Tensor::from_vec(vec![1.0; 8], &[8]);
-        let b = Tensor::from_vec(vec![1.2; 8], &[8]);
-        assert_quantized_outputs_match(&[a], &[b]);
     }
 
     #[test]

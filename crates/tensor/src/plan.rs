@@ -1,5 +1,4 @@
-//! Planned inference execution: a dtype-aware op-IR with static memory
-//! planning.
+//! Planned inference execution: an op-IR with static memory planning.
 //!
 //! The autograd [`crate::Graph`] is a tape: every forward op allocates its
 //! output (and, for convolution, an im2col scratch buffer) and clones input
@@ -23,15 +22,6 @@
 //! group, fixed when the plan is assembled), and the GEMM epilogue writes
 //! each item's plane straight into the NCHW output — activations stay
 //! NCHW throughout, so the fold needs no layout ops.
-//!
-//! Every planned value, arena slot, and weight buffer carries an explicit
-//! [`DType`]. `F32` is the default the planner emits; the quantization pass
-//! ([`crate::quant::quantize_plan`]) rewrites a finished plan into one whose
-//! convolutions run on i8 weights and activations (`Quantize` ops feed
-//! `QuantConv2d` ops whose i32 accumulators are dequantized in the GEMM
-//! epilogue — see [`crate::qgemm`]). Slot assignment is per-dtype, so an i8
-//! activation never recycles an f32 buffer or vice versa, and plan outputs
-//! are always f32 regardless of the internal precision.
 //!
 //! Ownership is split for data-parallel serving: all parameters live in a
 //! write-once [`PlanWeights`] frozen by [`Planner::finish`] and shared via
@@ -66,14 +56,12 @@ use std::sync::Arc;
 
 use platter_obs::{GemmShape, OpCost, Profiler};
 
-use crate::gemm::{effective_threads, gemm_fused, gemm_into, BiasAct, FusedKernel};
+use crate::gemm::{effective_threads, gemm_fused, gemm_into, BiasAct};
 use crate::nn::Activation;
 use crate::ops::conv::{im2col, is_pointwise};
 use crate::ops::Conv2dSpec;
-use crate::qgemm::DequantBiasAct;
-use crate::quant::Calibration;
 use crate::tensor::Tensor;
-use crate::weights::{DType, PlanWeights, StagedBuf, WeightId};
+use crate::weights::{PlanWeights, WeightId};
 
 /// Handle to a planned value. Cheap to copy; only meaningful for the
 /// [`Planner`] (and resulting [`Plan`]) that created it.
@@ -83,9 +71,8 @@ pub struct ValueId(pub(crate) usize);
 /// One node of the inference IR. Each op produces exactly one value, so a
 /// value id doubles as the index of its producing op. Parameter buffers are
 /// referenced by [`WeightId`] into the plan's shared [`PlanWeights`] — the
-/// IR itself owns no parameter data. Each op has a fixed output [`DType`]
-/// ([`PlanOp::out_dtype`]); only `Quantize` produces an i8 value.
-pub(crate) enum PlanOp {
+/// IR itself owns no parameter data.
+enum PlanOp {
     /// External input `index` of the executed plan.
     Input { index: usize },
     /// Convolution with optional folded scale/bias and fused activation.
@@ -118,32 +105,6 @@ pub(crate) enum PlanOp {
     /// Affine `y = x·wᵀ + b` with fused activation. `wt` is the transposed
     /// weight `[d_in, d_out]` so execution is a single GEMM.
     Linear { x: ValueId, wt: WeightId, bias: WeightId, d_in: usize, d_out: usize, act: Activation },
-    /// Symmetric per-tensor quantization of an f32 value to i8:
-    /// `q = round(x / scale)` clamped to `[-127, 127]`. The only op whose
-    /// output lives in an i8 arena slot. The quantization pass emits one
-    /// `Quantize` per distinct source value and shares it across every
-    /// consuming conv — that sharing *is* the "fold quant into neighbours"
-    /// rule (a dequant op never exists at all: dequantization is fused into
-    /// the consuming GEMM's epilogue).
-    Quantize { x: ValueId, scale: f32 },
-    /// Quantized convolution: i8 activations (`x` must be a `Quantize`
-    /// output) against per-output-channel symmetric i8 weights, i32
-    /// accumulate, and a fused dequant+bias+activation epilogue producing
-    /// f32. `weight` is an i8 buffer carrying `cout` scales; `bias` stays
-    /// f32 because it is added after dequantization.
-    QuantConv2d {
-        x: ValueId,
-        weight: WeightId,
-        bias: WeightId,
-        /// Activation scale fixed at calibration time (`x_f32 ≈ x_i8 · in_scale`).
-        in_scale: f32,
-        cout: usize,
-        cin: usize,
-        kh: usize,
-        kw: usize,
-        spec: Conv2dSpec,
-        act: Activation,
-    },
 }
 
 impl PlanOp {
@@ -156,21 +117,9 @@ impl PlanOp {
             | PlanOp::Activation { x, .. }
             | PlanOp::MaxPool { x, .. }
             | PlanOp::Upsample { x, .. }
-            | PlanOp::Linear { x, .. }
-            | PlanOp::Quantize { x, .. }
-            | PlanOp::QuantConv2d { x, .. } => vec![*x],
+            | PlanOp::Linear { x, .. } => vec![*x],
             PlanOp::Concat { xs } => xs.clone(),
             PlanOp::Add { a, b } => vec![*a, *b],
-        }
-    }
-
-    /// Element type of the value this op produces. Everything is f32 except
-    /// explicit quantization — `QuantConv2d` dequantizes in its epilogue, so
-    /// its output is f32 again.
-    pub(crate) fn out_dtype(&self) -> DType {
-        match self {
-            PlanOp::Quantize { .. } => DType::I8,
-            _ => DType::F32,
         }
     }
 }
@@ -199,8 +148,7 @@ impl ConvGeom {
     /// Geometry of op `i`, or `None` when it is not a convolution.
     fn of(ops: &[PlanOp], shapes: &[Vec<usize>], i: usize) -> Option<ConvGeom> {
         let (x, cout, cin, kh, kw, spec) = match &ops[i] {
-            PlanOp::Conv2d { x, cout, cin, kh, kw, spec, .. }
-            | PlanOp::QuantConv2d { x, cout, cin, kh, kw, spec, .. } => (*x, *cout, *cin, *kh, *kw, *spec),
+            PlanOp::Conv2d { x, cout, cin, kh, kw, spec, .. } => (*x, *cout, *cin, *kh, *kw, *spec),
             _ => return None,
         };
         let (h, w) = (shapes[x.0][1], shapes[x.0][2]);
@@ -241,10 +189,6 @@ impl ConvGeom {
 ///
 /// Shapes are tracked **per batch item** (without the leading `n`): every op
 /// in the IR is batch-separable, so one plan serves any batch size.
-///
-/// The planner only emits f32 ops; quantized plans are derived from a
-/// finished f32 plan by [`crate::quant::quantize_plan`], which rebuilds the
-/// IR through the same `assemble` step `finish` uses.
 pub struct Planner {
     ops: Vec<PlanOp>,
     /// Per-item output shape of each value.
@@ -254,7 +198,7 @@ pub struct Planner {
     /// Staging parameter buffers, indexed by [`WeightId`]. Mutable only
     /// during the build (BN folding rewrites conv entries in place);
     /// [`Planner::finish`] freezes them into an immutable [`PlanWeights`].
-    wbufs: Vec<StagedBuf>,
+    wbufs: Vec<Vec<f32>>,
     num_inputs: usize,
 }
 
@@ -264,9 +208,9 @@ impl Planner {
         Planner { ops: Vec::new(), shapes: Vec::new(), consumers: Vec::new(), wbufs: Vec::new(), num_inputs: 0 }
     }
 
-    /// Stage an f32 parameter buffer and hand back its handle.
+    /// Stage a parameter buffer and hand back its handle.
     fn alloc_weight(&mut self, data: Vec<f32>) -> WeightId {
-        self.wbufs.push(StagedBuf::F32(data));
+        self.wbufs.push(data);
         WeightId(self.wbufs.len() - 1)
     }
 
@@ -334,17 +278,16 @@ impl Planner {
                 // Fold: w'[o,·] = w[o,·]·s[o], b'[o] = b[o]·s[o] + t[o].
                 // The rewrite targets the *staging* buffers — handles are
                 // copied out first so the op table borrow ends before the
-                // buffer borrow starts. Legal only pre-freeze (and only on
-                // f32 stages; the planner never emits anything else).
+                // buffer borrow starts. Legal only pre-freeze.
                 let (wid, bid, cout) = (*weight, *bias, *cout);
-                let w = self.wbufs[wid.0].as_f32_mut();
+                let w = &mut self.wbufs[wid.0];
                 let row = w.len() / cout;
                 for o in 0..cout {
                     for v in &mut w[o * row..(o + 1) * row] {
                         *v *= scale[o];
                     }
                 }
-                let b = self.wbufs[bid.0].as_f32_mut();
+                let b = &mut self.wbufs[bid.0];
                 for o in 0..cout {
                     b[o] = b[o] * scale[o] + shift[o];
                 }
@@ -446,7 +389,7 @@ impl Planner {
     }
 
     /// Finalise: liveness analysis + static slot assignment (see
-    /// `assemble`, which the quantization pass shares).
+    /// `assemble`).
     pub fn finish(self, outputs: &[ValueId]) -> Plan {
         assemble(self.ops, self.shapes, self.wbufs, self.num_inputs, outputs)
     }
@@ -459,21 +402,17 @@ impl Default for Planner {
 }
 
 /// Turn a recorded op list into a finalised [`Plan`]: liveness analysis +
-/// static per-dtype slot assignment + the weight freeze. Shared by
-/// [`Planner::finish`] and [`crate::quant::quantize_plan`] so both precisions
-/// go through the identical memory planner.
+/// static slot assignment + the weight freeze.
 ///
-/// Walks the ops in execution order keeping a free-list of retired slots
-/// *per dtype* — an i8 value never recycles an f32 buffer. Each op's output
-/// takes the best-fitting free slot of its dtype (smallest capacity that
-/// holds it, else the largest, grown to fit) *before* the op's inputs are
-/// retired, so an output buffer can never alias a same-op input. Values
-/// listed in `outputs` are live forever, never recycled, and must be f32 —
-/// quantized precision is an internal detail, not an output format.
-pub(crate) fn assemble(
+/// Walks the ops in execution order keeping a free-list of retired slots.
+/// Each op's output takes the best-fitting free slot (smallest capacity
+/// that holds it, else the largest, grown to fit) *before* the op's inputs
+/// are retired, so an output buffer can never alias a same-op input.
+/// Values listed in `outputs` are live forever and never recycled.
+fn assemble(
     ops: Vec<PlanOp>,
     shapes: Vec<Vec<usize>>,
-    wbufs: Vec<StagedBuf>,
+    wbufs: Vec<Vec<f32>>,
     num_inputs: usize,
     outputs: &[ValueId],
 ) -> Plan {
@@ -495,32 +434,14 @@ pub(crate) fn assemble(
         }
     }
 
-    let value_dtypes: Vec<DType> = ops.iter().map(|op| op.out_dtype()).collect();
-    for &v in outputs {
-        assert_eq!(
-            value_dtypes[v.0],
-            DType::F32,
-            "plan output {} must be f32, got {}",
-            v.0,
-            value_dtypes[v.0]
-        );
-    }
-
     let item_numel: Vec<usize> = shapes.iter().map(|s| s.iter().product()).collect();
     let mut slot_of = vec![usize::MAX; n];
     let mut slot_caps: Vec<usize> = Vec::new();
-    let mut slot_dtypes: Vec<DType> = Vec::new();
-    let mut free_f32: Vec<usize> = Vec::new();
-    let mut free_i8: Vec<usize> = Vec::new();
+    let mut free: Vec<usize> = Vec::new();
     for i in 0..n {
         let need = item_numel[i];
-        let dt = value_dtypes[i];
-        // Best fit within this value's dtype: tightest free slot that holds
-        // it; otherwise the largest free slot, grown; otherwise a fresh slot.
-        let free = match dt {
-            DType::F32 => &mut free_f32,
-            DType::I8 => &mut free_i8,
-        };
+        // Best fit: tightest free slot that holds it; otherwise the
+        // largest free slot, grown; otherwise a fresh slot.
         let pick = free
             .iter()
             .enumerate()
@@ -532,55 +453,30 @@ pub(crate) fn assemble(
             Some(j) => free.swap_remove(j),
             None => {
                 slot_caps.push(0);
-                slot_dtypes.push(dt);
                 slot_caps.len() - 1
             }
         };
         slot_caps[slot] = slot_caps[slot].max(need);
         slot_of[i] = slot;
-        for &v in &dying[i] {
-            match value_dtypes[v] {
-                DType::F32 => free_f32.push(slot_of[v]),
-                DType::I8 => free_i8.push(slot_of[v]),
-            }
-        }
+        free.extend(dying[i].iter().map(|&v| slot_of[v]));
     }
 
-    // Persistent im2col scratch, one per precision: the widest column
-    // matrix of any conv that cannot take the pointwise fast path. Batch
-    // folding then packs as many items per GEMM as that scratch holds.
+    // Persistent im2col scratch: the widest column matrix of any conv
+    // that cannot take the pointwise fast path. Batch folding then
+    // packs as many items per GEMM as that scratch holds.
     let geoms: Vec<Option<ConvGeom>> = (0..n).map(|i| ConvGeom::of(&ops, &shapes, i)).collect();
-    let mut col_len = 0usize;
-    let mut qcol_len = 0usize;
-    for (op, g) in ops.iter().zip(&geoms) {
-        match (op, g) {
-            (PlanOp::QuantConv2d { .. }, Some(g)) => qcol_len = qcol_len.max(g.col_elems()),
-            (_, Some(g)) => col_len = col_len.max(g.col_elems()),
-            _ => {}
-        }
-    }
-    let fold = ops
-        .iter()
-        .zip(&geoms)
-        .map(|(op, g)| match (op, g) {
-            (PlanOp::QuantConv2d { .. }, Some(g)) => g.fold_group(qcol_len),
-            (_, Some(g)) => g.fold_group(col_len),
-            _ => 1,
-        })
-        .collect();
+    let col_len = geoms.iter().flatten().map(ConvGeom::col_elems).max().unwrap_or(0);
+    let fold = geoms.iter().map(|g| g.map_or(1, |g| g.fold_group(col_len))).collect();
 
     Plan {
         ops,
         shapes,
         item_numel,
-        value_dtypes,
         slot_of,
         slot_caps,
-        slot_dtypes,
         last_use,
         outputs: outputs.to_vec(),
         col_len,
-        qcol_len,
         fold,
         num_inputs,
         weights: Arc::new(PlanWeights::freeze(wbufs)),
@@ -598,41 +494,27 @@ pub struct SlotInfo {
     pub def: usize,
     /// Op index of the value's final consumer (`usize::MAX` for outputs).
     pub last_use: usize,
-    /// Element type of the value (and therefore of its slot — slots are
-    /// never shared across dtypes).
-    pub dtype: DType,
 }
 
 /// A finalised inference program: ops, per-item shapes, the static arena
-/// layout, and the frozen parameter store. Build with [`Planner::finish`]
-/// (or derive a quantized twin via [`crate::quant::quantize_plan`]); run
-/// with an [`Executor`]. A `Plan` is immutable and `Send + Sync`, so one
+/// layout, and the frozen parameter store. Build with [`Planner::finish`];
+/// run with an [`Executor`]. A `Plan` is immutable and `Send + Sync`, so one
 /// `Arc<Plan>` backs any number of concurrent executors — the parameters
 /// ([`PlanWeights`]) exist once per compile, not once per worker.
-///
-/// Fields are crate-visible so the quantization pass can walk and rebuild
-/// the IR; outside the crate a plan is opaque.
 pub struct Plan {
-    pub(crate) ops: Vec<PlanOp>,
-    pub(crate) shapes: Vec<Vec<usize>>,
-    pub(crate) item_numel: Vec<usize>,
-    /// Element type of every value, parallel to `ops`.
-    pub(crate) value_dtypes: Vec<DType>,
-    pub(crate) slot_of: Vec<usize>,
-    pub(crate) slot_caps: Vec<usize>,
-    /// Element type of every arena slot (a slot only ever holds values of
-    /// one dtype).
-    pub(crate) slot_dtypes: Vec<DType>,
-    pub(crate) last_use: Vec<usize>,
-    pub(crate) outputs: Vec<ValueId>,
-    pub(crate) col_len: usize,
-    /// i8 im2col scratch length (0 for pure-f32 plans).
-    pub(crate) qcol_len: usize,
+    ops: Vec<PlanOp>,
+    shapes: Vec<Vec<usize>>,
+    item_numel: Vec<usize>,
+    slot_of: Vec<usize>,
+    slot_caps: Vec<usize>,
+    last_use: Vec<usize>,
+    outputs: Vec<ValueId>,
+    col_len: usize,
     /// Per op: most batch items one conv GEMM covers (1 for other ops).
-    pub(crate) fold: Vec<usize>,
-    pub(crate) num_inputs: usize,
+    fold: Vec<usize>,
+    num_inputs: usize,
     /// Frozen parameters, shared by every executor forked off this plan.
-    pub(crate) weights: Arc<PlanWeights>,
+    weights: Arc<PlanWeights>,
 }
 
 impl std::fmt::Debug for Plan {
@@ -640,7 +522,6 @@ impl std::fmt::Debug for Plan {
         f.debug_struct("Plan")
             .field("num_values", &self.ops.len())
             .field("num_slots", &self.slot_caps.len())
-            .field("dtype", &self.dtype())
             .field("op_kinds", &self.op_kinds())
             .finish_non_exhaustive()
     }
@@ -657,24 +538,16 @@ impl Plan {
         self.slot_caps.len()
     }
 
-    /// Arena elements per batch item (activation slots + im2col scratch,
-    /// both precisions; elements, not bytes — i8 slots count 1 per element).
+    /// Arena elements per batch item (activation slots + im2col scratch).
     pub fn per_item_arena_elems(&self) -> usize {
-        self.slot_caps.iter().sum::<usize>() + self.col_len + self.qcol_len
+        self.slot_caps.iter().sum::<usize>() + self.col_len
     }
 
-    /// Elements of the im2col scratch, both precisions. Fixed at plan
-    /// build and independent of the batch size: batch folding packs items
-    /// into this scratch, it never grows it.
+    /// Elements of the im2col scratch. Fixed at plan build and independent
+    /// of the batch size: batch folding packs items into this scratch, it
+    /// never grows it.
     pub fn col_len(&self) -> usize {
-        self.col_len + self.qcol_len
-    }
-
-    /// The dominant parameter precision: `I8` once the quantization pass has
-    /// rewritten the convolutions, `F32` for every plain compile. What
-    /// manifests, bench rows, and serve records report.
-    pub fn dtype(&self) -> DType {
-        self.weights.dtype()
+        self.col_len
     }
 
     /// The frozen parameter store this plan's ops index into. Cloning the
@@ -692,7 +565,6 @@ impl Plan {
                 slot: self.slot_of[v],
                 def: v,
                 last_use: self.last_use[v],
-                dtype: self.value_dtypes[v],
             })
             .collect()
     }
@@ -706,8 +578,7 @@ impl Plan {
     /// tests: the op kind plus the fusion state that matters (fused
     /// activation, pool geometry, concat arity). A lost conv+BN fold shows up
     /// as an extra `scale_bias`, a lost activation fusion as `Linear` turning
-    /// into an explicit `act[..]` op — and a lost quantization as `qconv2d`
-    /// reverting to `conv2d`.
+    /// into an explicit `act[..]` op.
     pub fn op_kinds(&self) -> Vec<String> {
         self.ops
             .iter()
@@ -721,8 +592,6 @@ impl Plan {
                 PlanOp::Concat { xs } => format!("concat{}", xs.len()),
                 PlanOp::Add { .. } => "add".to_string(),
                 PlanOp::Linear { act, .. } => format!("linear[{act:?}]"),
-                PlanOp::Quantize { .. } => "quantize".to_string(),
-                PlanOp::QuantConv2d { act, .. } => format!("qconv2d[{act:?}]"),
             })
             .collect()
     }
@@ -731,16 +600,15 @@ impl Plan {
     /// value, and any baked-in parameters (weights, biases, scale/shift).
     /// This is the profiler's "bytes" column — a traffic estimate assuming
     /// each buffer is read or written once, not a cache-level measurement.
-    /// Dtype-aware: i8 values and weights count one byte per element, which
-    /// is exactly the bandwidth win quantization buys.
     fn op_io_bytes(&self, i: usize, n: usize) -> u64 {
         let op = &self.ops[i];
-        let mut bytes = self.item_numel[i] * n * self.value_dtypes[i].size_of();
+        let f32_bytes = std::mem::size_of::<f32>();
+        let mut bytes = self.item_numel[i] * n * f32_bytes;
         for v in op.inputs() {
-            bytes += self.item_numel[v.0] * n * self.value_dtypes[v.0].size_of();
+            bytes += self.item_numel[v.0] * n * f32_bytes;
         }
         bytes += match op {
-            PlanOp::Conv2d { weight, bias, .. } | PlanOp::QuantConv2d { weight, bias, .. } => {
+            PlanOp::Conv2d { weight, bias, .. } => {
                 self.weights.bytes_of(*weight) + self.weights.bytes_of(*bias)
             }
             PlanOp::Linear { wt, bias, .. } => self.weights.bytes_of(*wt) + self.weights.bytes_of(*bias),
@@ -757,18 +625,17 @@ impl Plan {
     /// epilogue is not counted) and `2·d_in·d_out` for a linear layer; one
     /// per element for elementwise arithmetic (two for scale-bias, `k²`
     /// comparisons for a `k`×`k` max pool); zero for pure data movement
-    /// (input, concat, upsample). Integer multiply-adds of quantized convs
-    /// count like float ones.
+    /// (input, concat, upsample).
     pub fn op_flops(&self, i: usize, n: usize) -> u64 {
         let numel = self.item_numel[i];
         let per_item = match &self.ops[i] {
-            PlanOp::Conv2d { .. } | PlanOp::QuantConv2d { .. } => {
+            PlanOp::Conv2d { .. } => {
                 let g = ConvGeom::of(&self.ops, &self.shapes, i).expect("conv op has a conv geometry");
                 2 * g.m * g.k * g.hw
             }
             PlanOp::Linear { d_in, d_out, .. } => 2 * d_in * d_out,
             PlanOp::ScaleBias { .. } => 2 * numel,
-            PlanOp::Activation { .. } | PlanOp::Add { .. } | PlanOp::Quantize { .. } => numel,
+            PlanOp::Activation { .. } | PlanOp::Add { .. } => numel,
             PlanOp::MaxPool { k, .. } => k * k * numel,
             PlanOp::Input { .. } | PlanOp::Upsample { .. } | PlanOp::Concat { .. } => 0,
         };
@@ -832,65 +699,12 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// One arena buffer, typed by the dtype of the slot it backs. `Default` is
-/// an empty f32 buffer so `std::mem::take` in the op loop stays cheap and
-/// obviously-safe (the taken value is put back immediately after the op).
-pub(crate) enum ArenaBuf {
-    F32(Vec<f32>),
-    I8(Vec<i8>),
-}
-
-impl Default for ArenaBuf {
-    fn default() -> ArenaBuf {
-        ArenaBuf::F32(Vec::new())
-    }
-}
-
-impl ArenaBuf {
-    fn new(dt: DType) -> ArenaBuf {
-        match dt {
-            DType::F32 => ArenaBuf::F32(Vec::new()),
-            DType::I8 => ArenaBuf::I8(Vec::new()),
-        }
-    }
-
-    fn resize(&mut self, len: usize) {
-        match self {
-            ArenaBuf::F32(v) => v.resize(len, 0.0),
-            ArenaBuf::I8(v) => v.resize(len, 0),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            ArenaBuf::F32(v) => v.len() * std::mem::size_of::<f32>(),
-            ArenaBuf::I8(v) => v.len(),
-        }
-    }
-
-    fn as_f32(&self) -> &[f32] {
-        match self {
-            ArenaBuf::F32(v) => v,
-            ArenaBuf::I8(_) => panic!("arena slot holds i8, read as f32"),
-        }
-    }
-
-    fn as_i8(&self) -> &[i8] {
-        match self {
-            ArenaBuf::I8(v) => v,
-            ArenaBuf::F32(_) => panic!("arena slot holds f32, read as i8"),
-        }
-    }
-}
-
-/// Per-worker mutable scratch of an [`Executor`]: the (dtype-typed)
-/// activation arena, im2col buffers for both precisions, and output staging
-/// tensors. This is everything a forked worker owns privately — the plan and
-/// its weights stay shared.
+/// Per-worker mutable scratch of an [`Executor`]: the activation arena, the
+/// im2col buffer, and output staging tensors. This is everything a forked
+/// worker owns privately — the plan and its weights stay shared.
 struct ExecutorState {
-    slots: Vec<ArenaBuf>,
+    slots: Vec<Vec<f32>>,
     col: Vec<f32>,
-    qcol: Vec<i8>,
     outs: Vec<Tensor>,
     batch: usize,
     batch_cap: usize,
@@ -899,9 +713,8 @@ struct ExecutorState {
 impl ExecutorState {
     fn empty(plan: &Plan) -> ExecutorState {
         ExecutorState {
-            slots: plan.slot_dtypes.iter().map(|&dt| ArenaBuf::new(dt)).collect(),
+            slots: vec![Vec::new(); plan.num_slots()],
             col: Vec::new(),
-            qcol: Vec::new(),
             outs: Vec::new(),
             batch: 0,
             batch_cap: 0,
@@ -918,10 +731,6 @@ impl ExecutorState {
 /// private. [`Executor::fork`] therefore yields an independent executor that
 /// shares all parameters with its parent — the unit of data-parallel
 /// serving: one compile, N workers, one copy of the weights.
-///
-/// The same executor runs f32 and quantized plans — the arena takes its
-/// slot dtypes from the plan, so a quantized plan simply allocates some of
-/// its slots as i8.
 pub struct Executor {
     plan: Arc<Plan>,
     state: ExecutorState,
@@ -957,12 +766,10 @@ impl Executor {
     }
 
     /// Bytes currently held by this executor's private arena (slots +
-    /// im2col scratch of both precisions). Shared weight bytes are
-    /// [`Plan::weights`]' concern.
+    /// im2col scratch). Shared weight bytes are [`Plan::weights`]' concern.
     pub fn arena_bytes(&self) -> usize {
-        self.state.slots.iter().map(|s| s.bytes()).sum::<usize>()
-            + self.state.col.len() * std::mem::size_of::<f32>()
-            + self.state.qcol.len()
+        let elems = self.state.slots.iter().map(Vec::len).sum::<usize>() + self.state.col.len();
+        elems * std::mem::size_of::<f32>()
     }
 
     fn ensure_batch(&mut self, n: usize) {
@@ -970,10 +777,9 @@ impl Executor {
             // Grow-only: every slot holds `cap` elements per item, so a
             // buffer sized for the largest batch serves any smaller one.
             for (slot, &cap) in self.state.slots.iter_mut().zip(&self.plan.slot_caps) {
-                slot.resize(cap * n);
+                slot.resize(cap * n, 0.0);
             }
             self.state.col.resize(self.plan.col_len, 0.0);
-            self.state.qcol.resize(self.plan.qcol_len, 0);
             self.state.batch_cap = n;
         }
         if self.state.batch != n {
@@ -1026,7 +832,7 @@ impl Executor {
     /// [`Executor::try_run`], which reports them as [`ExecError`]s.
     pub fn run(&mut self, inputs: &[&Tensor]) -> &[Tensor] {
         match self.validate(inputs) {
-            Ok(n) => self.execute(n, inputs, None, None),
+            Ok(n) => self.execute(n, inputs, None),
             Err(e) => panic!("{e}"),
         }
     }
@@ -1036,7 +842,7 @@ impl Executor {
     /// first op runs, so a rejected call leaves the arena untouched.
     pub fn try_run(&mut self, inputs: &[&Tensor]) -> Result<&[Tensor], ExecError> {
         let n = self.validate(inputs)?;
-        Ok(self.execute(n, inputs, None, None))
+        Ok(self.execute(n, inputs, None))
     }
 
     /// Like [`Executor::run`], but reports every op to `profiler`
@@ -1047,20 +853,9 @@ impl Executor {
     /// plan.
     pub fn run_profiled(&mut self, inputs: &[&Tensor], profiler: &mut dyn Profiler) -> &[Tensor] {
         match self.validate(inputs) {
-            Ok(n) => self.execute(n, inputs, Some(profiler), None),
+            Ok(n) => self.execute(n, inputs, Some(profiler)),
             Err(e) => panic!("{e}"),
         }
-    }
-
-    /// Like [`Executor::try_run`], but records the absolute range of every
-    /// f32 intermediate into `calib` — the `Profiler`-style recording pass
-    /// the quantizer's activation-scale calibration is built on. Outputs are
-    /// bit-identical to `run`; calibration only observes.
-    pub fn run_calibrating(&mut self, inputs: &[&Tensor], calib: &mut Calibration) -> Result<&[Tensor], ExecError> {
-        let n = self.validate(inputs)?;
-        self.execute(n, inputs, None, Some(calib));
-        calib.end_pass();
-        Ok(&self.state.outs)
     }
 
     fn execute(
@@ -1068,12 +863,11 @@ impl Executor {
         n: usize,
         inputs: &[&Tensor],
         mut profiler: Option<&mut dyn Profiler>,
-        mut calib: Option<&mut Calibration>,
     ) -> &[Tensor] {
-        // The profiled, calibrating, and plain paths share this one body:
-        // when `profiler` and `calib` are `None` (every `run`/`try_run`
-        // call) the instrumentation is a dead branch per op — no timer
-        // reads, no label formatting, no range scans.
+        // The profiled and plain paths share this one body: when
+        // `profiler` is `None` (every `run`/`try_run` call) the
+        // instrumentation is a dead branch per op — no timer reads, no
+        // label formatting.
         let run_start = profiler.as_ref().map(|_| std::time::Instant::now());
         let kinds = profiler.as_ref().map(|_| self.plan.op_kinds());
         self.ensure_batch(n);
@@ -1089,16 +883,8 @@ impl Executor {
                 .all(|v| self.plan.slot_of[v.0] != dst_slot));
             let op_start = profiler.as_ref().map(|_| std::time::Instant::now());
             let mut dst = std::mem::take(&mut self.state.slots[dst_slot]);
-            match &mut dst {
-                ArenaBuf::F32(buf) => self.exec_op(i, n, inputs, &mut buf[..out_len]),
-                ArenaBuf::I8(buf) => self.exec_op_i8(i, n, &mut buf[..out_len]),
-            }
+            self.exec_op(i, n, inputs, &mut dst[..out_len]);
             self.state.slots[dst_slot] = dst;
-            if let Some(cal) = calib.as_deref_mut() {
-                if let ArenaBuf::F32(buf) = &self.state.slots[dst_slot] {
-                    cal.observe(i, &buf[..out_len]);
-                }
-            }
             if let (Some(p), Some(t0)) = (profiler.as_deref_mut(), op_start) {
                 let kinds = kinds.as_ref().expect("kinds computed when profiling");
                 p.record_op(i, &kinds[i], t0.elapsed().as_nanos() as u64, self.plan.op_cost(i, n));
@@ -1109,7 +895,7 @@ impl Executor {
             let len = self.plan.item_numel[v.0] * n;
             self.state.outs[j]
                 .as_mut_slice()
-                .copy_from_slice(&self.state.slots[self.plan.slot_of[v.0]].as_f32()[..len]);
+                .copy_from_slice(&self.state.slots[self.plan.slot_of[v.0]][..len]);
         }
         if let (Some(p), Some(t0)) = (profiler, run_start) {
             p.record_run(t0.elapsed().as_nanos() as u64);
@@ -1117,58 +903,9 @@ impl Executor {
         &self.state.outs
     }
 
-    /// f32 slice of value `v` within its slot (first `numel·n` elements).
-    fn val<'a>(slots: &'a [ArenaBuf], plan: &Plan, v: ValueId, n: usize) -> &'a [f32] {
-        &slots[plan.slot_of[v.0]].as_f32()[..plan.item_numel[v.0] * n]
-    }
-
-    /// i8 slice of value `v` within its slot (first `numel·n` elements).
-    fn val_i8<'a>(slots: &'a [ArenaBuf], plan: &Plan, v: ValueId, n: usize) -> &'a [i8] {
-        &slots[plan.slot_of[v.0]].as_i8()[..plan.item_numel[v.0] * n]
-    }
-
-    /// Ops whose output slot is i8 — today exactly `Quantize`.
-    fn exec_op_i8(&mut self, i: usize, n: usize, dst: &mut [i8]) {
-        let plan = &*self.plan;
-        let slots = &self.state.slots;
-        match &plan.ops[i] {
-            PlanOp::Quantize { x, scale } => {
-                let xs = Self::val(slots, plan, *x, n);
-                let inv = 1.0 / *scale;
-                for (d, &v) in dst.iter_mut().zip(xs) {
-                    *d = crate::quant::quantize_value(v, inv);
-                }
-            }
-            _ => unreachable!("only quantize ops write i8 slots"),
-        }
-    }
-
-    /// A convolution of either precision: the same folded im2col + fused
-    /// GEMM, with the dtype's kernel.
-    fn exec_conv(&mut self, i: usize, n: usize, dst: &mut [f32]) {
-        let plan = &*self.plan;
-        let weights = &*plan.weights;
-        let slots = &self.state.slots;
-        let geom = ConvGeom::of(&plan.ops, &plan.shapes, i).expect("conv op has a conv geometry");
-        let fold = plan.fold[i];
-        match &plan.ops[i] {
-            PlanOp::Conv2d { x, weight, bias, act, .. } => {
-                let kern = BiasAct { bias: weights.get(*bias), act: *act };
-                let xs = Self::val(slots, plan, *x, n);
-                fold_conv(&kern, weights.get(*weight), xs, &mut self.state.col, &geom, fold, n, dst);
-            }
-            PlanOp::QuantConv2d { x, weight, bias, in_scale, act, .. } => {
-                let kern = DequantBiasAct {
-                    wscales: weights.scales_of(*weight),
-                    in_scale: *in_scale,
-                    bias: weights.get(*bias),
-                    act: *act,
-                };
-                let xs = Self::val_i8(slots, plan, *x, n);
-                fold_conv(&kern, weights.get_i8(*weight), xs, &mut self.state.qcol, &geom, fold, n, dst);
-            }
-            _ => unreachable!("exec_conv runs only convolutions"),
-        }
+    /// Slice of value `v` within its slot (first `numel·n` elements).
+    fn val<'a>(slots: &'a [Vec<f32>], plan: &Plan, v: ValueId, n: usize) -> &'a [f32] {
+        &slots[plan.slot_of[v.0]][..plan.item_numel[v.0] * n]
     }
 
     fn exec_op(&mut self, i: usize, n: usize, inputs: &[&Tensor], dst: &mut [f32]) {
@@ -1186,8 +923,12 @@ impl Executor {
                 );
                 dst.copy_from_slice(t.as_slice());
             }
-            PlanOp::Conv2d { .. } | PlanOp::QuantConv2d { .. } => self.exec_conv(i, n, dst),
-            PlanOp::Quantize { .. } => unreachable!("quantize outputs live in i8 slots"),
+            PlanOp::Conv2d { x, weight, bias, act, .. } => {
+                let geom = ConvGeom::of(&plan.ops, &plan.shapes, i).expect("conv op has a conv geometry");
+                let kern = BiasAct { bias: weights.get(*bias), act: *act };
+                let xs = Self::val(slots, plan, *x, n);
+                fold_conv(&kern, weights.get(*weight), xs, &mut self.state.col, &geom, plan.fold[i], n, dst);
+            }
             PlanOp::ScaleBias { x, scale, shift, act } => {
                 let xs = Self::val(slots, plan, *x, n);
                 let scale = weights.get(*scale);
@@ -1274,25 +1015,23 @@ impl Executor {
 /// into the group's NCHW output planes. A pointwise conv alone in its group
 /// skips the copy — its input plane already is the column matrix.
 #[allow(clippy::too_many_arguments)] // kernel, operands, scratch, geometry
-fn fold_conv<K: FusedKernel>(
-    kern: &K,
-    w: &[K::A],
-    xs: &[K::B],
-    col: &mut [K::B],
+fn fold_conv(
+    kern: &BiasAct<'_>,
+    w: &[f32],
+    xs: &[f32],
+    col: &mut [f32],
     g: &ConvGeom,
     fold: usize,
     n: usize,
     dst: &mut [f32],
-) where
-    K::B: Default,
-{
+) {
     let in_len = g.cin * g.h * g.w;
     let out_len = g.m * g.hw;
     let mut b0 = 0;
     while b0 < n {
         let items = fold.min(n - b0);
         let src = &xs[b0 * in_len..(b0 + items) * in_len];
-        let cols: &[K::B] = if g.pointwise() && items == 1 {
+        let cols: &[f32] = if g.pointwise() && items == 1 {
             src
         } else {
             let ld = items * g.hw;
@@ -1698,21 +1437,6 @@ mod tests {
         drop(parent);
         let out = fork.run(&[&x]);
         assert_eq!(out[0].shape(), &[2, 4, 6, 6]);
-    }
-
-    #[test]
-    fn every_planner_value_is_f32() {
-        // The planner never emits quantized ops itself; i8 values only come
-        // from the quantization pass. All slots of a plain plan are f32.
-        let mut rng = StdRng::seed_from_u64(15);
-        let w = Tensor::randn(&[4, 3, 3, 3], &mut rng);
-        let mut p = Planner::new();
-        let xi = p.input(&[3, 6, 6]);
-        let yi = p.conv2d(xi, &w, None, Conv2dSpec::same(3));
-        let plan = p.finish(&[yi]);
-        assert_eq!(plan.dtype(), DType::F32);
-        assert!(plan.slot_map().iter().all(|s| s.dtype == DType::F32));
-        assert_eq!(plan.qcol_len, 0, "pure-f32 plan needs no i8 im2col scratch");
     }
 
     #[test]

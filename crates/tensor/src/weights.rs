@@ -1,4 +1,4 @@
-//! Frozen, dtype-aware parameter storage for compiled plans.
+//! Frozen parameter storage for compiled plans.
 //!
 //! A [`crate::plan::Plan`] used to embed every weight buffer inside its op
 //! IR, which made a compiled network a single owned blob: serving N workers
@@ -8,95 +8,23 @@
 //! `Arc`. Ops refer to their buffers by [`WeightId`]; mutable state (the
 //! activation arena, im2col scratch) stays per-executor.
 //!
-//! Every buffer carries an explicit [`DType`]. `F32` is the default the
-//! planner stages; `I8` buffers hold per-output-channel symmetric quantized
-//! weights together with their dequantization scales (see [`crate::quant`]).
-//! This store is the **single entry point** for weight data of any dtype —
-//! plans never hold raw `Vec<f32>` parameter buffers themselves, and CI
-//! greps enforce it.
+//! This store is the **single entry point** for weight data — plans never
+//! hold raw parameter buffers themselves, and CI greps enforce it.
 //!
 //! The type is deliberately immutable after construction — there is no
 //! `&mut self` method on `PlanWeights` at all, and construction is
-//! crate-private. Build-time rewrites (conv+BN folding, quantization) happen
-//! in staging buffers *before* the freeze; once frozen, every worker reads
-//! the same bytes forever. CI greps for `&mut PlanWeights` to keep it that
-//! way.
-
-/// Element type of a weight buffer or planned value.
-///
-/// The plan IR threads this through [`WeightId`]-addressed stores, arena
-/// slots, and op signatures; `F32` is the default everywhere, `I8` is what
-/// the quantization pass produces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum DType {
-    /// 32-bit IEEE-754 float — the default precision of every compile.
-    F32,
-    /// Signed 8-bit integer, symmetric quantization (zero-point fixed at 0).
-    I8,
-}
-
-impl DType {
-    /// Bytes per element.
-    #[inline]
-    pub fn size_of(self) -> usize {
-        match self {
-            DType::F32 => std::mem::size_of::<f32>(),
-            DType::I8 => std::mem::size_of::<i8>(),
-        }
-    }
-
-    /// Lower-case name, for manifests and bench records.
-    pub fn name(self) -> &'static str {
-        match self {
-            DType::F32 => "f32",
-            DType::I8 => "i8",
-        }
-    }
-}
-
-impl std::fmt::Display for DType {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+//! crate-private. Build-time rewrites (conv+BN folding) happen in the
+//! planner's staging buffers *before* the freeze; once frozen, every worker
+//! reads the same bytes forever. CI greps for `&mut PlanWeights` to keep it
+//! that way.
 
 /// Handle to one parameter buffer inside a [`PlanWeights`]. Cheap to copy;
 /// only meaningful for the plan that allocated it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WeightId(pub(crate) usize);
 
-/// A mutable staging buffer owned by the planner (or the quantization pass)
-/// *before* the freeze. This is the only dtype-tagged mutable form weight
-/// data ever takes; [`PlanWeights::freeze`] consumes it.
-pub(crate) enum StagedBuf {
-    /// Plain f32 parameters (conv weights, folded biases, scale/shift).
-    F32(Vec<f32>),
-    /// Symmetric per-channel quantized parameters: `data` is `[rows, cols]`
-    /// row-major and `scales[r]` dequantizes row `r` (`w ≈ q · scale`).
-    I8 { data: Vec<i8>, scales: Vec<f32> },
-}
-
-impl StagedBuf {
-    /// Mutable view of an f32 staging buffer, for build-time rewrites
-    /// (conv+BN folding). Panics on a quantized buffer — folding happens
-    /// strictly before quantization.
-    pub(crate) fn as_f32_mut(&mut self) -> &mut Vec<f32> {
-        match self {
-            StagedBuf::F32(v) => v,
-            StagedBuf::I8 { .. } => panic!("staged buffer is i8; f32 rewrite is illegal"),
-        }
-    }
-}
-
-/// One frozen buffer: the payload plus everything needed to interpret it.
-enum WeightBuf {
-    F32(Box<[f32]>),
-    I8 { data: Box<[i8]>, scales: Box<[f32]> },
-}
-
 /// Immutable, shareable parameter store of a compiled plan: conv weights and
-/// folded biases, scale/shift vectors, transposed linear weights — f32 by
-/// default, i8 with per-channel scales after quantization. Created by
+/// folded biases, scale/shift vectors, transposed linear weights. Created by
 /// [`crate::plan::Planner::finish`] (crate-private constructor) and held by
 /// the [`crate::plan::Plan`] behind an `Arc`, so forking a worker shares the
 /// parameters and clones nothing but scratch.
@@ -104,7 +32,7 @@ pub struct PlanWeights {
     /// One buffer per [`WeightId`], in allocation order. Boxed slices
     /// rather than `Vec`s: the lengths are final, and the missing spare
     /// capacity makes accidental growth a type error.
-    bufs: Vec<WeightBuf>,
+    bufs: Vec<Box<[f32]>>,
     /// Content identity, fixed at freeze time (see
     /// [`PlanWeights::fingerprint`]).
     fingerprint: u64,
@@ -115,12 +43,9 @@ impl PlanWeights {
     /// nothing can obtain mutable access to the contents. The content
     /// fingerprint is computed here, once — it can never go stale because
     /// the buffers can never change again.
-    pub(crate) fn freeze(bufs: Vec<StagedBuf>) -> PlanWeights {
-        // FNV-1a over the exact bit patterns, with buffer boundaries and a
-        // dtype tag mixed in so `[1.0][2.0]` and `[1.0, 2.0]` hash
-        // differently and an f32 buffer never collides with its own
-        // quantization. The dtype of every buffer is therefore part of the
-        // manifest fingerprint the serving registry records.
+    pub(crate) fn freeze(bufs: Vec<Vec<f32>>) -> PlanWeights {
+        // FNV-1a over the exact bit patterns, with buffer boundaries mixed
+        // in so `[1.0][2.0]` and `[1.0, 2.0]` hash differently.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {
             for byte in v.to_le_bytes() {
@@ -128,110 +53,45 @@ impl PlanWeights {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        for buf in &bufs {
-            match buf {
-                StagedBuf::F32(v) => {
-                    mix(0); // dtype tag
-                    mix(v.len() as u64);
-                    for &x in v {
-                        mix(x.to_bits() as u64);
-                    }
-                }
-                StagedBuf::I8 { data, scales } => {
-                    mix(1); // dtype tag
-                    mix(data.len() as u64);
-                    for &q in data {
-                        mix(q as u8 as u64);
-                    }
-                    mix(scales.len() as u64);
-                    for &s in scales {
-                        mix(s.to_bits() as u64);
-                    }
-                }
+        for v in &bufs {
+            mix(v.len() as u64);
+            for &x in v {
+                mix(x.to_bits() as u64);
             }
         }
-        let bufs = bufs
-            .into_iter()
-            .map(|b| match b {
-                StagedBuf::F32(v) => WeightBuf::F32(v.into_boxed_slice()),
-                StagedBuf::I8 { data, scales } => {
-                    WeightBuf::I8 { data: data.into_boxed_slice(), scales: scales.into_boxed_slice() }
-                }
-            })
-            .collect();
+        let bufs = bufs.into_iter().map(Vec::into_boxed_slice).collect();
         PlanWeights { bufs, fingerprint: h }
     }
 
     /// A 64-bit identity of the frozen contents: two `PlanWeights` with the
-    /// same fingerprint hold bit-identical parameters *of the same dtypes*
-    /// (up to hash collision). This is the version tag the serving registry
-    /// uses to label model versions and to assert that a hot-swap actually
-    /// changed (or restored) the parameters a pool serves from — cheaper and
-    /// less error-prone than threading a user-supplied version string
-    /// through every compile.
+    /// same fingerprint hold bit-identical parameters (up to hash
+    /// collision). This is the version tag the serving registry uses to
+    /// label model versions and to assert that a hot-swap actually changed
+    /// (or restored) the parameters a pool serves from — cheaper and less
+    /// error-prone than threading a user-supplied version string through
+    /// every compile.
     #[inline]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
-    /// Element type of the buffer behind `id`.
-    #[inline]
-    pub fn dtype_of(&self, id: WeightId) -> DType {
-        match &self.bufs[id.0] {
-            WeightBuf::F32(_) => DType::F32,
-            WeightBuf::I8 { .. } => DType::I8,
-        }
-    }
-
-    /// The f32 buffer behind `id`. Panics if the buffer is quantized — ops
-    /// carry the dtype of every buffer they reference, so a mismatch here is
-    /// a plan-construction bug, not a runtime condition.
+    /// The buffer behind `id`.
     #[inline]
     pub fn get(&self, id: WeightId) -> &[f32] {
-        match &self.bufs[id.0] {
-            WeightBuf::F32(v) => v,
-            WeightBuf::I8 { .. } => panic!("weight {} is i8, accessed as f32", id.0),
-        }
+        &self.bufs[id.0]
     }
 
-    /// The quantized payload behind `id`. Panics if the buffer is f32.
-    #[inline]
-    pub fn get_i8(&self, id: WeightId) -> &[i8] {
-        match &self.bufs[id.0] {
-            WeightBuf::I8 { data, .. } => data,
-            WeightBuf::F32(_) => panic!("weight {} is f32, accessed as i8", id.0),
-        }
-    }
-
-    /// Per-channel dequantization scales of an i8 buffer (`w ≈ q · scale`).
-    /// Panics if the buffer is f32.
-    #[inline]
-    pub fn scales_of(&self, id: WeightId) -> &[f32] {
-        match &self.bufs[id.0] {
-            WeightBuf::I8 { scales, .. } => scales,
-            WeightBuf::F32(_) => panic!("weight {} is f32, has no quant scales", id.0),
-        }
-    }
-
-    /// Element count of the payload behind `id` (scales excluded).
+    /// Element count of the buffer behind `id`.
     #[inline]
     pub fn len_of(&self, id: WeightId) -> usize {
-        match &self.bufs[id.0] {
-            WeightBuf::F32(v) => v.len(),
-            WeightBuf::I8 { data, .. } => data.len(),
-        }
+        self.bufs[id.0].len()
     }
 
-    /// Bytes of the buffer behind `id`, scales included — the traffic a GEMM
-    /// streaming this buffer pays.
+    /// Bytes of the buffer behind `id` — the traffic a GEMM streaming this
+    /// buffer pays.
     #[inline]
     pub fn bytes_of(&self, id: WeightId) -> usize {
-        match &self.bufs[id.0] {
-            WeightBuf::F32(v) => std::mem::size_of_val::<[f32]>(v),
-            WeightBuf::I8 { data, scales } => {
-                std::mem::size_of_val::<[i8]>(data) + std::mem::size_of_val::<[f32]>(scales)
-            }
-        }
+        std::mem::size_of_val::<[f32]>(&self.bufs[id.0])
     }
 
     /// Number of parameter buffers.
@@ -239,32 +99,15 @@ impl PlanWeights {
         self.bufs.len()
     }
 
-    /// Total payload elements across all buffers (any dtype).
+    /// Total elements across all buffers.
     pub fn total_elems(&self) -> usize {
-        self.bufs
-            .iter()
-            .map(|b| match b {
-                WeightBuf::F32(v) => v.len(),
-                WeightBuf::I8 { data, .. } => data.len(),
-            })
-            .sum()
+        self.bufs.iter().map(|b| b.len()).sum()
     }
 
     /// Total parameter bytes — the memory N workers share instead of
-    /// replicating. Dtype-aware: a quantized plan reports roughly a quarter
-    /// of its f32 twin.
+    /// replicating.
     pub fn bytes(&self) -> usize {
-        (0..self.bufs.len()).map(|i| self.bytes_of(WeightId(i))).sum()
-    }
-
-    /// The dominant parameter dtype: `I8` when any buffer is quantized,
-    /// `F32` otherwise. What the registry stamps into model manifests.
-    pub fn dtype(&self) -> DType {
-        if self.bufs.iter().any(|b| matches!(b, WeightBuf::I8 { .. })) {
-            DType::I8
-        } else {
-            DType::F32
-        }
+        self.total_elems() * std::mem::size_of::<f32>()
     }
 }
 
@@ -272,76 +115,34 @@ impl PlanWeights {
 mod tests {
     use super::*;
 
-    fn f32s(bufs: Vec<Vec<f32>>) -> Vec<StagedBuf> {
-        bufs.into_iter().map(StagedBuf::F32).collect()
-    }
-
     #[test]
     fn freeze_preserves_contents_and_sizes() {
-        let w = PlanWeights::freeze(f32s(vec![vec![1.0, 2.0], vec![], vec![3.0; 5]]));
+        let w = PlanWeights::freeze(vec![vec![1.0, 2.0], vec![], vec![3.0; 5]]);
         assert_eq!(w.num_buffers(), 3);
         assert_eq!(w.get(WeightId(0)), &[1.0, 2.0]);
         assert_eq!(w.get(WeightId(1)), &[] as &[f32]);
         assert_eq!(w.len_of(WeightId(2)), 5);
+        assert_eq!(w.bytes_of(WeightId(2)), 20);
         assert_eq!(w.total_elems(), 7);
         assert_eq!(w.bytes(), 28);
-        assert_eq!(w.dtype(), DType::F32);
     }
 
     #[test]
     fn fingerprint_is_content_identity() {
-        let a = PlanWeights::freeze(f32s(vec![vec![1.0, 2.0], vec![3.0]]));
-        let b = PlanWeights::freeze(f32s(vec![vec![1.0, 2.0], vec![3.0]]));
+        let a = PlanWeights::freeze(vec![vec![1.0, 2.0], vec![3.0]]);
+        let b = PlanWeights::freeze(vec![vec![1.0, 2.0], vec![3.0]]);
         assert_eq!(a.fingerprint(), b.fingerprint(), "same contents, same identity");
 
-        let c = PlanWeights::freeze(f32s(vec![vec![1.0, 2.5], vec![3.0]]));
+        let c = PlanWeights::freeze(vec![vec![1.0, 2.5], vec![3.0]]);
         assert_ne!(a.fingerprint(), c.fingerprint(), "one changed value changes identity");
 
         // Boundary-sensitive: the flat contents match but the split differs.
-        let d = PlanWeights::freeze(f32s(vec![vec![1.0], vec![2.0, 3.0]]));
+        let d = PlanWeights::freeze(vec![vec![1.0], vec![2.0, 3.0]]);
         assert_ne!(a.fingerprint(), d.fingerprint(), "buffer boundaries are part of identity");
 
         // -0.0 and 0.0 are different bit patterns, hence different weights.
-        let z0 = PlanWeights::freeze(f32s(vec![vec![0.0]]));
-        let z1 = PlanWeights::freeze(f32s(vec![vec![-0.0]]));
+        let z0 = PlanWeights::freeze(vec![vec![0.0]]);
+        let z1 = PlanWeights::freeze(vec![vec![-0.0]]);
         assert_ne!(z0.fingerprint(), z1.fingerprint());
-    }
-
-    #[test]
-    fn i8_buffers_expose_payload_scales_and_dtype() {
-        let w = PlanWeights::freeze(vec![
-            StagedBuf::I8 { data: vec![-127, 0, 64, 127], scales: vec![0.5, 0.25] },
-            StagedBuf::F32(vec![1.0]),
-        ]);
-        assert_eq!(w.dtype_of(WeightId(0)), DType::I8);
-        assert_eq!(w.dtype_of(WeightId(1)), DType::F32);
-        assert_eq!(w.get_i8(WeightId(0)), &[-127, 0, 64, 127]);
-        assert_eq!(w.scales_of(WeightId(0)), &[0.5, 0.25]);
-        assert_eq!(w.len_of(WeightId(0)), 4);
-        // 4 i8 payload + 2 f32 scales + 1 f32 buffer.
-        assert_eq!(w.bytes(), 4 + 8 + 4);
-        assert_eq!(w.dtype(), DType::I8, "any i8 buffer makes the store quantized");
-        assert_eq!(DType::I8.name(), "i8");
-        assert_eq!(DType::F32.size_of(), 4);
-    }
-
-    #[test]
-    fn dtype_is_part_of_the_fingerprint() {
-        // Same raw byte patterns, different dtype: identities must differ.
-        let f = PlanWeights::freeze(f32s(vec![vec![0.0; 4]]));
-        let q = PlanWeights::freeze(vec![StagedBuf::I8 { data: vec![0; 4], scales: vec![] }]);
-        assert_ne!(f.fingerprint(), q.fingerprint(), "dtype tag must be mixed into identity");
-
-        // Scales are part of the identity too.
-        let q1 = PlanWeights::freeze(vec![StagedBuf::I8 { data: vec![1, 2], scales: vec![0.5] }]);
-        let q2 = PlanWeights::freeze(vec![StagedBuf::I8 { data: vec![1, 2], scales: vec![0.25] }]);
-        assert_ne!(q1.fingerprint(), q2.fingerprint());
-    }
-
-    #[test]
-    #[should_panic(expected = "accessed as f32")]
-    fn typed_access_rejects_dtype_mismatch() {
-        let w = PlanWeights::freeze(vec![StagedBuf::I8 { data: vec![1], scales: vec![1.0] }]);
-        let _ = w.get(WeightId(0));
     }
 }

@@ -1,5 +1,5 @@
 //! Kernel grid: every path of the fused GEMM driver against a naive
-//! reference, for both dtypes, bit for bit.
+//! reference, bit for bit.
 //!
 //! `gemm_fused` picks its path from the shape alone: wide register tiles
 //! for whole `J_TILE` column blocks, the narrow row-vectorised tile for the
@@ -16,7 +16,6 @@
 
 use platter_tensor::gemm::{gemm_fused, BiasAct, J_TILE};
 use platter_tensor::nn::Activation;
-use platter_tensor::qgemm::{DequantBiasAct, K_MAX};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -50,10 +49,6 @@ fn fold_layout(plain: &[f32], m: usize, n: usize, hw: usize) -> Vec<f32> {
 
 fn rand_f32(len: usize, rng: &mut StdRng) -> Vec<f32> {
     (0..len).map(|_| rng.random_range(-1.0f32..1.0)).collect()
-}
-
-fn rand_i8(len: usize, rng: &mut StdRng) -> Vec<i8> {
-    (0..len).map(|_| rng.random_range(-127i32..=127) as i8).collect()
 }
 
 /// Run the driver over every fold geometry and thread count of one shape
@@ -96,49 +91,5 @@ fn f32_driver_matches_reference_bit_for_bit() {
                 });
             }
         }
-    }
-}
-
-#[test]
-fn i8_driver_matches_reference_bit_for_bit() {
-    let mut rng = StdRng::seed_from_u64(2);
-    for m in MS {
-        for k in KS {
-            for n in ns() {
-                let a = rand_i8(m * k, &mut rng);
-                let b = rand_i8(k * n, &mut rng);
-                let wscales: Vec<f32> = (0..m).map(|i| 0.002 + 0.0001 * i as f32).collect();
-                let bias = rand_f32(m, &mut rng);
-                let (in_scale, act) = (0.03f32, Activation::Leaky);
-                let mut want = vec![0.0f32; m * n];
-                for i in 0..m {
-                    for j in 0..n {
-                        let sum: i64 = (0..k).map(|p| a[i * k + p] as i64 * b[p * n + j] as i64).sum();
-                        want[i * n + j] = act.eval(sum as f32 * (in_scale * wscales[i]) + bias[i]);
-                    }
-                }
-                let kern = DequantBiasAct { wscales: &wscales, in_scale, bias: &bias, act };
-                check_all_paths("i8", m, k, n, &want, |threads, c, hw| {
-                    gemm_fused(threads, &kern, &a, &b, c, m, k, n, hw)
-                });
-            }
-        }
-    }
-}
-
-#[test]
-fn i8_deepest_allowed_k_stays_exact() {
-    // All-saturated operands at the deepest k the overflow guard admits:
-    // |acc| = k·127² just under 2³¹, on the narrow and the wide tile.
-    let (m, k) = (3usize, K_MAX - 1);
-    let a = vec![127i8; m * k];
-    let want = -(k as f64 * 127.0 * 127.0);
-    assert!(want > i32::MIN as f64, "the guard must keep the worst case inside i32");
-    let kern = DequantBiasAct { wscales: &[1.0; 3], in_scale: 1.0, bias: &[0.0; 3], act: Activation::Linear };
-    for n in [1usize, 5, J_TILE + 1] {
-        let b = vec![-127i8; k * n];
-        let mut c = vec![0.0f32; m * n];
-        gemm_fused(1, &kern, &a, &b, &mut c, m, k, n, n);
-        assert!(c.iter().all(|&v| v == want as f32), "n={n}: saturated sum must be exact");
     }
 }

@@ -3,10 +3,7 @@
 //! paper's transfer-learning stage.
 
 use platter_tensor::serialize::{load_params, save_params, LoadMode, LoadReport, WeightError};
-use platter_tensor::{
-    quantize_plan, Calibration, DType, ExecError, Executor, Graph, Mode, Param, Plan, Planner,
-    QuantError, Tensor, Trace, Var,
-};
+use platter_tensor::{ExecError, Executor, Graph, Mode, Param, Plan, Planner, Tensor, Trace, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -106,42 +103,6 @@ impl Yolov4 {
         let x = p.input(&[3, s, s]);
         let heads = self.trace(&mut p, x, Mode::Infer);
         CompiledModel { exec: Executor::new(p.finish(&heads)), input_size: s }
-    }
-
-    /// Compile an **INT8-quantized** engine: the f32 plan is built exactly as
-    /// in [`Yolov4::compile_inference`], then a recording pass over
-    /// `calibration` (each batch `[n, 3, s, s]`, e.g. rendered validation
-    /// images) captures per-value activation ranges, and
-    /// [`quantize_plan`] rewrites every convolution to the i8 GEMM path —
-    /// per-channel symmetric weights, per-tensor activation scales, dequant
-    /// fused into the epilogue. Outputs stay f32 and track the f32 engine
-    /// within the loosened [`platter_tensor::parity`] quantization bounds.
-    ///
-    /// # Errors
-    ///
-    /// [`QuantError`] when `calibration` is empty, a recorded range is
-    /// non-finite (the calibration set produced NaN/Inf activations), or no
-    /// convolution could be quantized.
-    pub fn compile_inference_quantized(
-        &self,
-        calibration: &[Tensor],
-    ) -> Result<CompiledModel, QuantError> {
-        if calibration.is_empty() {
-            return Err(QuantError::NoCalibrationPasses);
-        }
-        let mut p = Planner::new();
-        let s = self.config.input_size;
-        let x = p.input(&[3, s, s]);
-        let heads = self.trace(&mut p, x, Mode::Infer);
-        let plan = std::sync::Arc::new(p.finish(&heads));
-        let mut calib = Calibration::for_plan(&plan);
-        let mut exec = Executor::from_shared(plan.clone());
-        for batch in calibration {
-            exec.run_calibrating(&[batch], &mut calib)
-                .expect("calibration batch shape must match the compiled input");
-        }
-        let qplan = quantize_plan(&plan, &calib)?;
-        Ok(CompiledModel { exec: Executor::new(qplan), input_size: s })
     }
 
     /// All parameters (backbone + neck + heads).
@@ -251,14 +212,6 @@ impl CompiledModel {
     /// bit-identical to `run`.
     pub fn run_profiled(&mut self, x: &Tensor, profiler: &mut dyn platter_obs::Profiler) -> &[Tensor] {
         self.exec.run_profiled(&[x], profiler)
-    }
-
-    /// The numeric format this engine's weights are stored in: [`DType::I8`]
-    /// for engines from [`Yolov4::compile_inference_quantized`], otherwise
-    /// [`DType::F32`]. The serving registry records this per model version
-    /// and mixes it into manifest fingerprints.
-    pub fn dtype(&self) -> DType {
-        self.exec.plan().dtype()
     }
 
     /// The underlying plan (op/slot introspection).

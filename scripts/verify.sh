@@ -56,9 +56,9 @@ if [ -n "$wmuts" ]; then
 fi
 # Match the signature syntax `(&mut self`, not the bare words — the module
 # docs state the invariant and may name `&mut self`. Scope the check to the
-# `impl PlanWeights` block: the pre-freeze staging buffers (`StagedBuf`)
-# that share this file are mutable on purpose — BN folding rewrites them
-# before `freeze` — and only PlanWeights carries the write-once contract.
+# `impl PlanWeights` block: the planner's pre-freeze staging buffers are
+# mutable on purpose — BN folding rewrites them before `freeze` — and only
+# PlanWeights carries the write-once contract.
 if sed -n '/^impl PlanWeights/,/^}/p' crates/tensor/src/weights.rs | grep -q -F '(&mut self'; then
   echo "impl PlanWeights grew a '&mut self' method (PlanWeights must stay immutable after freeze)" >&2
   exit 1
@@ -81,20 +81,16 @@ echo "== eager vs compiled parity (YOLOv4 + baselines) =="
 cargo test -q --release -p platter-yolo --test parity
 cargo test -q --release -p platter-baselines --test parity
 
-echo "== fused GEMM kernel grid (every driver path vs a naive reference, f32 + i8) =="
+echo "== fused GEMM kernel grid (every driver path vs a naive reference) =="
 cargo test -q --release -p platter-tensor --test kernel_grid
 
 echo "== batch-fold parity (batch-n forward == n batch-1 forwards, micro/nano/SSD) =="
 cargo test -q --release -p platter-baselines --test fold_parity
 
-echo "== quantized vs f32 parity (loosened bounds) + quantizer property suite =="
-cargo test -q --release -p platter-yolo --test quant_parity
-cargo test -q --release -p platter-tensor --test prop_quant
-
 echo "== typed weight-buffer gate (raw buffers only inside tensor::weights) =="
-# Weight storage is dtype-tagged behind PlanWeights (DESIGN.md §16); a bare
-# Box<[f32]> / Box<[i8]> anywhere else is a buffer that escaped the typed
-# abstraction and would silently bypass the dtype fingerprint.
+# Weight storage lives behind PlanWeights (DESIGN.md §14); a bare
+# Box<[f32]> / Box<[i8]> anywhere else is a buffer that escaped the store
+# and would silently bypass the weight fingerprint.
 rawbufs=$(git ls-files 'crates/*/src/**/*.rs' 'crates/*/src/*.rs' 'crates/*/tests/*.rs' \
   | grep -v '^crates/tensor/src/weights.rs$' \
   | xargs -r grep -n -E 'Box<\[(f32|i8)\]>' || true)
@@ -103,6 +99,12 @@ if [ -n "$rawbufs" ]; then
   echo "$rawbufs" >&2
   exit 1
 fi
+
+echo "== benchmark harness builds and passes its own tests =="
+# perfbench is a package of its own (not a workspace member), so the
+# workspace build above never compiles it: a public API it uses that goes
+# missing must fail here, not in the benchmark pipeline.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== golden plan structure (fusion decisions) =="
 cargo test -q --release -p platter-baselines --test golden_plan
@@ -182,24 +184,6 @@ if [ -z "$speedup" ] || ! awk -v s="$speedup" 'BEGIN { exit !(s >= 1.5) }'; then
 fi
 echo "batch-1 speedup: ${speedup}x"
 
-echo "== INT8 quantized-path gate (faster than f32, mAP within one point) =="
-# The quant block's batch-1 row must show the i8 GEMM beating the f32
-# compiled engine (measured 1.2–1.3x on the 1-core CI host; 1.05 still
-# trips on any regression that makes quantization a pure accuracy tax),
-# and the end-to-end mAP cost on the trained smoke workload must stay
-# within the paper-scale one-point budget (0.01 on the [0,1] mAP axis).
-qspeed=$(grep -o '"speedup_vs_f32": *[0-9.]*' results/BENCH_inference.json | head -1 | grep -o '[0-9.]*$')
-if [ -z "$qspeed" ] || ! awk -v s="$qspeed" 'BEGIN { exit !(s >= 1.05) }'; then
-  echo "quantized speedup at batch 1 is ${qspeed:-missing}, need >= 1.05" >&2
-  exit 1
-fi
-mdelta=$(grep -o '"map_delta": *-\{0,1\}[0-9.]*' results/BENCH_inference.json | head -1 | sed 's/.*: *//')
-if [ -z "$mdelta" ] || ! awk -v d="$mdelta" 'BEGIN { if (d < 0) d = -d; exit !(d <= 0.01) }'; then
-  echo "quantized mAP delta is ${mdelta:-missing}, need |delta| <= 0.01" >&2
-  exit 1
-fi
-echo "quantized batch-1 speedup: ${qspeed}x, mAP delta: ${mdelta}"
-
 echo "== profiler coverage gate (per-op times >= 90% of forward wall time) =="
 share=$(grep -o '"op_time_share": *[0-9.]*' results/PROFILE_inference.json | head -1 | grep -o '[0-9.]*$')
 if [ -z "$share" ] || ! awk -v s="$share" 'BEGIN { exit !(s >= 0.90) }'; then
@@ -269,21 +253,6 @@ if ! grep -q '"dropped_jobs": *0\b' results/BENCH_serve.json; then
 fi
 swaps=$(grep -o '"swaps": *[0-9]*' results/BENCH_serve.json | head -1 | grep -o '[0-9]*$')
 echo "hot swaps under load: ${swaps:-0}, dropped jobs: 0"
-
-echo "== registry dtype record gate (swap record lists each model's dtype) =="
-# Every registered model's weight dtype must appear in the swap record,
-# and the run alternates f32/i8 candidates — so both dtypes must show up
-# or the quantized rollout path silently fell out of the bench.
-for field in '"model_dtypes"' '"final_live_dtype"'; do
-  if ! grep -q "$field" results/BENCH_serve.json; then
-    echo "BENCH_serve.json swap record is missing the $field field" >&2
-    exit 1
-  fi
-done
-if ! grep -q '=i8' results/BENCH_serve.json || ! grep -q '=f32' results/BENCH_serve.json; then
-  echo "BENCH_serve.json swap record does not show a mixed f32/i8 fleet" >&2
-  exit 1
-fi
 
 echo "== degradation determinism gate (ops never construct their own RNG) =="
 # Every degradation draws from the caller's stream (DESIGN.md §13); an op
