@@ -4,7 +4,7 @@
 //! vocabularies (Tables I and IV), YOLO txt annotations, a deterministic
 //! dataset planner reproducing the paper's composition (11,547 images, ~7%
 //! multi-dish platters averaging 2.33 dishes), 80/20 splits, and a batching
-//! loader with mosaic/HSV/affine augmentation and crossbeam prefetch.
+//! loader with mosaic/HSV/affine augmentation.
 //!
 //! ## Example: plan a micro dataset and pull one batch
 //!
@@ -33,6 +33,6 @@ pub use classes::ClassSet;
 pub use degraded::DegradedDataset;
 pub use export::{export_to_dir, ExportSummary};
 pub use generator::{DatasetItem, DatasetSpec, SyntheticDataset};
-pub use loader::{run_prefetched, BatchLoader, ImageBatch, LoaderConfig, LoaderState};
+pub use loader::{BatchLoader, ImageBatch, LoaderConfig, LoaderState};
 pub use split::Split;
 pub use stats::{PlanStats, INDIANFOOD10_PAPER, INDIANFOOD20_PAPER};

@@ -235,37 +235,6 @@ impl<'a> BatchLoader<'a> {
     }
 }
 
-/// Drive `consume` over `n_batches` batches while a background thread renders
-/// ahead through a bounded crossbeam channel — the prefetch pattern darknet
-/// uses to hide data-loading latency.
-pub fn run_prefetched(
-    dataset: &SyntheticDataset,
-    indices: &[usize],
-    cfg: LoaderConfig,
-    n_batches: usize,
-    capacity: usize,
-    mut consume: impl FnMut(usize, ImageBatch),
-) {
-    crossbeam::scope(|scope| {
-        let (tx, rx) = crossbeam::channel::bounded::<ImageBatch>(capacity.max(1));
-        scope.spawn(move |_| {
-            let mut loader = BatchLoader::new(dataset, indices, cfg);
-            for _ in 0..n_batches {
-                if tx.send(loader.next_batch()).is_err() {
-                    break;
-                }
-            }
-        });
-        for i in 0..n_batches {
-            match rx.recv() {
-                Ok(batch) => consume(i, batch),
-                Err(_) => break,
-            }
-        }
-    })
-    .expect("prefetch worker panicked");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,16 +337,5 @@ mod tests {
         let mut bad = loader.state();
         bad.cursor = bad.indices.len() + 1;
         assert!(loader.restore(&bad).is_err());
-    }
-
-    #[test]
-    fn prefetched_delivers_all_batches_in_order() {
-        let ds = dataset();
-        let indices: Vec<usize> = (0..ds.len()).collect();
-        let mut got = Vec::new();
-        run_prefetched(&ds, &indices, LoaderConfig::val(6, 32), 4, 2, |i, b| {
-            got.push((i, b.annotations.len()));
-        });
-        assert_eq!(got, vec![(0, 6), (1, 6), (2, 6), (3, 6)]);
     }
 }

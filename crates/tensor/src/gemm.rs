@@ -1,16 +1,17 @@
-//! Matrix multiplication: the eager GEMM and the fused conv GEMM driver.
+//! Matrix multiplication: the one GEMM driver of the workspace.
 //!
-//! Convolution (via im2col) and the linear layers all bottom out here, so
-//! this is the hottest code in the workspace.
+//! Every product bottoms out in [`gemm_fused`], so this is the hottest code
+//! in the workspace: the planned executor's convolutions (and linear layers,
+//! planned as 1×1 convolutions), and on the autograd tape eager [`matmul`]
+//! and the eager conv's forward, input gradient and weight gradient.
 //!
-//! - [`gemm_into`] / [`matmul`] serve the autograd tape: `I_TILE`×`J_TILE`
-//!   register tiles, row bands across threads.
-//! - [`gemm_fused`] is the planned executor's conv GEMM: accumulators
-//!   start at the row's bias and the [`BiasAct`] activation is applied at
-//!   writeback. It splits the work into column panels across threads,
-//!   `I_TILE`×`J_TILE` wide tiles, and a narrow tile for the columns left
-//!   over (all of them when `n < J_TILE`), and writes the result in
-//!   batch-folded NCHW order, so one GEMM can cover several batch items.
+//! [`gemm_fused`] starts each accumulator at its row's bias and applies the
+//! [`BiasAct`] activation at writeback; the tape's products go through
+//! [`gemm_into`], the same call with a zero bias and no activation. It
+//! splits the work into column panels across threads, `I_TILE`×`J_TILE`
+//! wide tiles, and a narrow tile for the columns left over (all of them
+//! when `n < J_TILE`), and writes the result in batch-folded NCHW order, so
+//! one GEMM can cover several batch items.
 //!
 //! The narrow tile vectorises over output rows instead of columns: 8 rows
 //! × 4 columns per pass over `k`, weight rows read in place and `B[p, j]`
@@ -18,15 +19,14 @@
 //! busy. It never copies or transposes the weights.
 //!
 //! Every path computes an output element as its bias plus plain
-//! `acc + a·b` steps in ascending `k` — no FMA contraction, no reordering
-//! — so the bits of an element depend on neither the thread count, the
-//! fold group, nor the tile that produced it.
+//! `acc + a·b` steps in ascending `k` — no FMA contraction, no reordering,
+//! no skipped zero terms (`0·NaN` is NaN) — so the bits of an element
+//! depend on neither the thread count, the fold group, nor the tile that
+//! produced it.
 
 use crate::nn::Activation;
 use crate::tensor::Tensor;
 
-/// Row-band size handed to each worker thread.
-const PAR_ROW_BAND: usize = 64;
 /// Below this many multiply-adds the threading overhead dominates.
 const PAR_THRESHOLD: usize = 1 << 18;
 
@@ -42,60 +42,13 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// `C += alpha · A · B` into a caller-provided buffer.
-///
-/// Exposed so convolution can accumulate per-batch-item results without
-/// intermediate allocations.
-pub fn gemm_accumulate(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, alpha: f32) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            let scaled = alpha * av;
-            if scaled == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
-                *cv += scaled * bv;
-            }
-        }
-    }
-}
-
-/// `C = A · B` written into a zeroed caller buffer; parallelises over row
-/// bands when both the problem is large and more than one core is available.
+/// `C = A · B` for row-major `A: [m,k]`, `B: [k,n]`, **overwriting** the
+/// row-major `[m, n]` buffer `c`: [`gemm_fused`] with a zero bias and no
+/// activation, on [`effective_threads`] workers.
 pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-
-    let threads = effective_threads();
-    let flops = m * k * n;
-    if threads <= 1 || flops < PAR_THRESHOLD || m < 2 * PAR_ROW_BAND {
-        serial_band(a, b, c, m, k, n, 0, m);
-        return;
-    }
-
-    crossbeam::scope(|scope| {
-        // Hand each worker a disjoint band of C's rows.
-        let mut rest = &mut c[..];
-        let mut row = 0usize;
-        while row < m {
-            let band = PAR_ROW_BAND.min(m - row);
-            let (chunk, tail) = rest.split_at_mut(band * n);
-            rest = tail;
-            let row0 = row;
-            scope.spawn(move |_| {
-                serial_band(a, b, chunk, m, k, n, row0, band);
-            });
-            row += band;
-        }
-    })
-    .expect("gemm worker panicked");
+    let zero = vec![0.0f32; m];
+    let kern = BiasAct { bias: &zero, act: Activation::Linear };
+    gemm_fused(effective_threads(), &kern, a, b, c, m, k, n, n.max(1));
 }
 
 /// Column width of the wide register tile (4 SSE vectors).
@@ -245,19 +198,18 @@ pub fn gemm_fused(
     // Tile-aligned panel width; the last panel absorbs the remainder
     // (including the narrow columns).
     let per = (n / panels / J_TILE).max(1) * J_TILE;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for idx in 0..panels {
             let j0 = idx * per;
             let j1 = if idx == panels - 1 { n } else { j0 + per };
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // SAFETY: panels partition [0, n) disjointly, `fused_cols`
                 // writes only the elements of columns [j0, j1), and the
                 // column → element map is injective; `c` outlives the scope.
                 unsafe { fused_cols(kern, a, b, out, m, k, n, j0, j1) };
             });
         }
-    })
-    .expect("gemm_fused worker panicked");
+    });
 }
 
 /// Base pointer of the output plus the fold geometry that maps a product
@@ -350,71 +302,6 @@ unsafe fn fused_cols(
     }
 }
 
-/// Compute `band` rows of C starting at `row0`. `c` addresses only the band.
-///
-/// Tiles the output into `I_TILE`×`J_TILE` register blocks so each B row is
-/// streamed once per `I_TILE` output rows and each C element is touched once
-/// per tile, instead of the naive i-k-j order that re-reads and re-writes the
-/// whole C row on every k step.
-#[allow(clippy::too_many_arguments)] // flat GEMM geometry: strides and band bounds
-fn serial_band(a: &[f32], b: &[f32], c: &mut [f32], _m: usize, k: usize, n: usize, row0: usize, band: usize) {
-    let mut i = 0;
-    while i < band {
-        let ib = I_TILE.min(band - i);
-        let mut j = 0;
-        while j + J_TILE <= n {
-            match ib {
-                4 => tile_kernel::<4>(a, b, c, k, n, row0 + i, i, j),
-                3 => tile_kernel::<3>(a, b, c, k, n, row0 + i, i, j),
-                2 => tile_kernel::<2>(a, b, c, k, n, row0 + i, i, j),
-                _ => tile_kernel::<1>(a, b, c, k, n, row0 + i, i, j),
-            }
-            j += J_TILE;
-        }
-        // Scalar tail for the last n % J_TILE columns.
-        if j < n {
-            for ii in 0..ib {
-                let arow = &a[(row0 + i + ii) * k..(row0 + i + ii + 1) * k];
-                let crow = &mut c[(i + ii) * n..(i + ii + 1) * n];
-                for (p, &av) in arow.iter().enumerate() {
-                    let brow = &b[p * n..(p + 1) * n];
-                    for jj in j..n {
-                        crow[jj] += av * brow[jj];
-                    }
-                }
-            }
-        }
-        i += ib;
-    }
-}
-
-/// Accumulate an `IB`×`J_TILE` block of C in registers: C[i0.., j..j+16] +=
-/// A[i0.., :] · B[:, j..j+16]. `ai0` is the absolute A row, `ci0` the
-/// band-local C row.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // flat GEMM geometry: strides and tile origin
-#[allow(clippy::needless_range_loop)] // p walks A rows and B rows in lockstep
-fn tile_kernel<const IB: usize>(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize, ai0: usize, ci0: usize, j: usize) {
-    let arows: [&[f32]; IB] = std::array::from_fn(|ii| &a[(ai0 + ii) * k..(ai0 + ii) * k + k]);
-    let mut acc = [[0.0f32; J_TILE]; IB];
-    for p in 0..k {
-        let off = p * n + j;
-        let bt: &[f32; J_TILE] = b[off..off + J_TILE].try_into().unwrap();
-        for ii in 0..IB {
-            let av = arows[ii][p];
-            for t in 0..J_TILE {
-                acc[ii][t] += av * bt[t];
-            }
-        }
-    }
-    for (ii, accr) in acc.iter().enumerate() {
-        let base = (ci0 + ii) * n + j;
-        for (cv, &av) in c[base..base + J_TILE].iter_mut().zip(accr) {
-            *cv += av;
-        }
-    }
-}
-
 /// Worker threads GEMM fans out across, resolved **once per process**: a
 /// `PLATTER_THREADS` env override (any integer ≥ 1) wins, otherwise
 /// `std::thread::available_parallelism()`. Cached in a `OnceLock` — the
@@ -483,7 +370,7 @@ mod tests {
             let fast = matmul(&a, &b);
             let slow = naive(&a, &b);
             for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-                assert!((x - y).abs() < 1e-3, "({m},{k},{n}): {x} vs {y}");
+                assert_eq!(x.to_bits(), y.to_bits(), "({m},{k},{n}): {x} vs {y}");
             }
         }
     }
@@ -491,8 +378,8 @@ mod tests {
     #[test]
     fn non_finite_b_propagates_to_every_column() {
         // 0·NaN and 0·±Inf are NaN, so a zero weight must not hide a
-        // non-finite input — in the register tiles (columns 0–15) or in
-        // the scalar tail (column 16).
+        // non-finite input — in the wide tile (columns 0–15) or in the
+        // narrow tile (column 16).
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let a = Tensor::from_vec(vec![0.0], &[1, 1]);
             let b = Tensor::from_vec(vec![bad; J_TILE + 1], &[1, J_TILE + 1]);
@@ -501,15 +388,6 @@ mod tests {
                 assert!(v.is_nan(), "B = {bad}: column {j} is {v}, want NaN");
             }
         }
-    }
-
-    #[test]
-    fn accumulate_adds_with_alpha() {
-        let a = [1.0f32, 0.0, 0.0, 1.0];
-        let b = [2.0f32, 0.0, 0.0, 2.0];
-        let mut c = [1.0f32; 4];
-        gemm_accumulate(&a, &b, &mut c, 2, 2, 2, 0.5);
-        assert_eq!(c, [2.0, 1.0, 1.0, 2.0]);
     }
 
     #[test]

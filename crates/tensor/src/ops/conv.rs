@@ -1,7 +1,16 @@
-//! 2-D convolution (NCHW) via im2col + GEMM, with full backward.
+//! 2-D convolution (NCHW) as im2col + GEMM, with full backward.
+//!
+//! One module owns the lowering both backends share: [`ConvGeom`] is a
+//! convolution as its GEMM sees it, and [`fold_conv`] unfolds a group of
+//! batch items side by side with [`im2col`] and lets
+//! [`crate::gemm::gemm_fused`] write the product straight into their NCHW
+//! planes. The planned executor calls it with the plan's fold group and
+//! its fused bias + activation; the eager tape calls it one item at a time
+//! with a zero bias. The backward pass runs on the same driver.
 
-use crate::gemm::{gemm_accumulate, gemm_into};
+use crate::gemm::{effective_threads, gemm_fused, gemm_into, BiasAct};
 use crate::graph::{Graph, Var};
+use crate::nn::Activation;
 use crate::tensor::Tensor;
 
 /// Geometry of a convolution: square stride and zero padding.
@@ -29,20 +38,70 @@ impl Conv2dSpec {
     }
 }
 
-/// True when the conv is a pointwise (1×1, stride 1, no padding) product:
-/// the im2col matrix would equal the input plane, so both the eager and the
-/// planned paths go straight to GEMM.
-#[inline]
-pub(crate) fn is_pointwise(kh: usize, kw: usize, spec: Conv2dSpec) -> bool {
-    kh == 1 && kw == 1 && spec.stride == 1 && spec.pad == 0
+/// A convolution as its GEMM sees it: per item, the `[m, k]` weight matrix
+/// times a `[k, hw]` column matrix unfolded from a `[cin, h, w]` input.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ConvGeom {
+    pub(crate) cin: usize,
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
+    pub(crate) spec: Conv2dSpec,
+    pub(crate) hout: usize,
+    pub(crate) wout: usize,
+    /// Output channels.
+    pub(crate) m: usize,
+    /// `cin·kh·kw`.
+    pub(crate) k: usize,
+    /// Output pixels per item.
+    pub(crate) hw: usize,
+}
+
+impl ConvGeom {
+    /// `cout` filters of `kh`×`kw` over a `[cin, h, w]` input.
+    pub(crate) fn new(
+        cin: usize,
+        (h, w): (usize, usize),
+        cout: usize,
+        (kh, kw): (usize, usize),
+        spec: Conv2dSpec,
+    ) -> ConvGeom {
+        let (hout, wout) = (spec.out_dim(h, kh), spec.out_dim(w, kw));
+        ConvGeom { cin, h, w, kh, kw, spec, hout, wout, m: cout, k: cin * kh * kw, hw: hout * wout }
+    }
+
+    /// True for a 1×1, stride 1, unpadded conv: the im2col matrix equals
+    /// the input plane, so the GEMM reads the input in place.
+    pub(crate) fn pointwise(&self) -> bool {
+        self.kh == 1 && self.kw == 1 && self.spec.stride == 1 && self.spec.pad == 0
+    }
+
+    /// Column-matrix elements one item needs in the im2col scratch (none
+    /// for a pointwise conv, whose input plane already is the matrix).
+    pub(crate) fn col_elems(&self) -> usize {
+        if self.pointwise() {
+            0
+        } else {
+            self.k * self.hw
+        }
+    }
+
+    /// How many batch items one GEMM call covers, given `cap` elements of
+    /// im2col scratch: as many as fit side by side, so folding never grows
+    /// the arena and no group's column matrix is wider than the widest
+    /// single-item one the plan already had.
+    pub(crate) fn fold_group(&self, cap: usize) -> usize {
+        (cap / (self.k * self.hw)).max(1)
+    }
 }
 
 /// Unfold `x[n]` into a `[cin*kh*kw, hout*wout]` column matrix whose rows
 /// sit `ld ≥ hout*wout` elements apart in `col` — `ld = hout*wout` for a
-/// dense matrix; the planned executor passes a wider stride to lay several
-/// batch items side by side. Padding cells are zero.
+/// dense matrix; [`fold_conv`] passes a wider stride to lay several batch
+/// items side by side. Padding cells are zero.
 #[allow(clippy::too_many_arguments)] // conv geometry plus the column stride
-pub(crate) fn im2col(
+fn im2col(
     x: &[f32],
     (cin, h, w): (usize, usize, usize),
     (kh, kw): (usize, usize),
@@ -115,32 +174,42 @@ fn col2im(
     }
 }
 
-/// Forward convolution shared by the op and its weight-gradient recompute.
-fn conv_forward(x: &Tensor, w: &Tensor, spec: Conv2dSpec) -> Tensor {
-    let (n, cin, h, wdim) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (cout, cin_w, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-    assert_eq!(cin, cin_w, "conv2d channel mismatch: input {cin} vs weight {cin_w}");
-    let hout = spec.out_dim(h, kh);
-    let wout = spec.out_dim(wdim, kw);
-    assert!(hout > 0 && wout > 0, "conv2d output collapsed to zero: input {h}x{wdim}, kernel {kh}x{kw}, {spec:?}");
-
-    let mut out = vec![0.0f32; n * cout * hout * wout];
-    let pointwise = is_pointwise(kh, kw, spec);
-    let mut col = if pointwise { Vec::new() } else { vec![0.0f32; cin * kh * kw * hout * wout] };
-    let xs = x.as_slice();
-    let ws = w.as_slice();
-    for b in 0..n {
-        let src = &xs[b * cin * h * wdim..(b + 1) * cin * h * wdim];
-        let dst = &mut out[b * cout * hout * wout..(b + 1) * cout * hout * wout];
-        if pointwise {
-            // 1×1 / stride 1 / pad 0: the column matrix is the input itself.
-            gemm_into(ws, src, dst, cout, cin, hout * wout);
+/// Run one convolution over `n` batch items, up to `fold` items per GEMM:
+/// each group's column matrices are unfolded side by side into `col` as one
+/// `[k, items·hw]` matrix, and the fused GEMM writes the product straight
+/// into the group's NCHW output planes. A pointwise conv alone in its group
+/// skips the copy — its input plane already is the column matrix.
+#[allow(clippy::too_many_arguments)] // kernel, operands, scratch, geometry
+pub(crate) fn fold_conv(
+    kern: &BiasAct<'_>,
+    w: &[f32],
+    xs: &[f32],
+    col: &mut [f32],
+    g: &ConvGeom,
+    fold: usize,
+    n: usize,
+    dst: &mut [f32],
+) {
+    let in_len = g.cin * g.h * g.w;
+    let out_len = g.m * g.hw;
+    let mut b0 = 0;
+    while b0 < n {
+        let items = fold.min(n - b0);
+        let src = &xs[b0 * in_len..(b0 + items) * in_len];
+        let cols: &[f32] = if g.pointwise() && items == 1 {
+            src
         } else {
-            im2col(src, (cin, h, wdim), (kh, kw), spec, (hout, wout), &mut col, hout * wout);
-            gemm_into(ws, &col, dst, cout, cin * kh * kw, hout * wout);
-        }
+            let ld = items * g.hw;
+            let col = &mut col[..g.k * ld];
+            for (item, x) in src.chunks_exact(in_len).enumerate() {
+                im2col(x, (g.cin, g.h, g.w), (g.kh, g.kw), g.spec, (g.hout, g.wout), &mut col[item * g.hw..], ld);
+            }
+            col
+        };
+        let out = &mut dst[b0 * out_len..(b0 + items) * out_len];
+        gemm_fused(effective_threads(), kern, w, cols, out, g.m, g.k, items * g.hw, g.hw);
+        b0 += items;
     }
-    Tensor::from_vec(out, &[n, cout, hout, wout])
 }
 
 impl Graph {
@@ -148,63 +217,63 @@ impl Graph {
     /// `[n,cout,h',w']`. Bias, when needed, is a separate broadcast add.
     pub fn conv2d(&mut self, x: Var, w: Var, spec: Conv2dSpec) -> Var {
         let (xv, wv) = (self.value(x).clone(), self.value(w).clone());
-        let out = conv_forward(&xv, &wv, spec);
+        let (n, cin, h, wdim) = (xv.shape()[0], xv.shape()[1], xv.shape()[2], xv.shape()[3]);
+        let (cout, cin_w, kh, kw) = (wv.shape()[0], wv.shape()[1], wv.shape()[2], wv.shape()[3]);
+        assert_eq!(cin, cin_w, "conv2d channel mismatch: input {cin} vs weight {cin_w}");
+        let g = ConvGeom::new(cin, (h, wdim), cout, (kh, kw), spec);
+        assert!(g.hout > 0 && g.wout > 0, "conv2d output collapsed to zero: input {h}x{wdim}, kernel {kh}x{kw}, {spec:?}");
+        let (in_len, out_len) = (g.cin * g.h * g.w, g.m * g.hw);
+        let zero = vec![0.0f32; g.m];
+        let mut out = vec![0.0f32; n * out_len];
+        let mut col = vec![0.0f32; g.col_elems()];
+        let kern = BiasAct { bias: &zero, act: Activation::Linear };
+        fold_conv(&kern, wv.as_slice(), xv.as_slice(), &mut col, &g, 1, n, &mut out);
         self.push(
-            out,
-            Some(Box::new(move |g| {
-                let (n, cin, h, wdim) = (xv.shape()[0], xv.shape()[1], xv.shape()[2], xv.shape()[3]);
-                let (cout, _, kh, kw) = (wv.shape()[0], wv.shape()[1], wv.shape()[2], wv.shape()[3]);
-                let (hout, wout) = (g.shape()[2], g.shape()[3]);
-                let kdim = cin * kh * kw;
-                let gs = g.as_slice();
+            Tensor::from_vec(out, &[n, g.m, g.hout, g.wout]),
+            Some(Box::new(move |gout| {
+                let (kdim, hw) = (g.k, g.hw);
+                let gs = gout.as_slice();
                 let xs = xv.as_slice();
+                let wt = wv.reshape(&[g.m, kdim]).transpose2d();
+                let mut col = vec![0.0f32; g.col_elems()];
 
-                let mut gw = vec![0.0f32; cout * kdim];
+                // dL/dx_b = col2im(Wᵀ · G_b), item by item; a pointwise
+                // conv's column matrix is its input plane, so there the
+                // product already is dL/dx_b.
                 let mut gx = vec![0.0f32; xv.numel()];
-                let pointwise = is_pointwise(kh, kw, spec);
-                let (mut col, mut colgrad) = if pointwise {
-                    (Vec::new(), Vec::new())
-                } else {
-                    (vec![0.0f32; kdim * hout * wout], vec![0.0f32; kdim * hout * wout])
-                };
-                let wt = wv.reshape(&[cout, kdim]).transpose2d();
-
-                for b in 0..n {
-                    let gout_b = &gs[b * cout * hout * wout..(b + 1) * cout * hout * wout];
-                    let x_b = &xs[b * cin * h * wdim..(b + 1) * cin * h * wdim];
-                    if pointwise {
-                        // Columns == input plane: both gradients are plain
-                        // GEMMs with no im2col/col2im round trip.
-                        let xt = Tensor::from_vec(x_b.to_vec(), &[cin, hout * wout]).transpose2d();
-                        gemm_accumulate(gout_b, xt.as_slice(), &mut gw, cout, hout * wout, cin, 1.0);
-                        gemm_into(
-                            wt.as_slice(),
-                            gout_b,
-                            &mut gx[b * cin * h * wdim..(b + 1) * cin * h * wdim],
-                            cin,
-                            cout,
-                            hout * wout,
-                        );
-                        continue;
+                for (gx_b, g_b) in gx.chunks_exact_mut(in_len).zip(gs.chunks_exact(out_len)) {
+                    if g.pointwise() {
+                        gemm_into(wt.as_slice(), g_b, gx_b, kdim, g.m, hw);
+                    } else {
+                        gemm_into(wt.as_slice(), g_b, &mut col, kdim, g.m, hw);
+                        col2im(&col, (g.cin, g.h, g.w), (g.kh, g.kw), g.spec, (g.hout, g.wout), gx_b);
                     }
-                    // dL/dW += G_b · col_bᵀ  (recompute col_b instead of
-                    // storing one per batch item in the tape).
-                    im2col(x_b, (cin, h, wdim), (kh, kw), spec, (hout, wout), &mut col, hout * wout);
-                    // gw[cout, kdim] += gout_b[cout, hw] · colᵀ[hw, kdim]
-                    let colt = Tensor::from_vec(col.clone(), &[kdim, hout * wout]).transpose2d();
-                    gemm_accumulate(gout_b, colt.as_slice(), &mut gw, cout, hout * wout, kdim, 1.0);
-                    // dL/dx_b = col2im(Wᵀ · G_b)
-                    colgrad.fill(0.0);
-                    gemm_into(wt.as_slice(), gout_b, &mut colgrad, kdim, cout, hout * wout);
-                    col2im(
-                        &colgrad,
-                        (cin, h, wdim),
-                        (kh, kw),
-                        spec,
-                        (hout, wout),
-                        &mut gx[b * cin * h * wdim..(b + 1) * cin * h * wdim],
-                    );
                 }
+
+                // dL/dW = [G_0 | … | G_{n−1}] · [col_0ᵀ; …; col_{n−1}ᵀ]:
+                // one GEMM with k = n·hw, so every element sums items
+                // outer, pixels inner — the per-item accumulation order.
+                let mut gcat = vec![0.0f32; g.m * n * hw];
+                let mut colt = vec![0.0f32; n * hw * kdim];
+                for (b, x_b) in xs.chunks_exact(in_len).enumerate() {
+                    for (o, g_bo) in gs[b * out_len..(b + 1) * out_len].chunks_exact(hw).enumerate() {
+                        gcat[(o * n + b) * hw..(o * n + b + 1) * hw].copy_from_slice(g_bo);
+                    }
+                    let col_b: &[f32] = if g.pointwise() {
+                        x_b
+                    } else {
+                        im2col(x_b, (g.cin, g.h, g.w), (g.kh, g.kw), g.spec, (g.hout, g.wout), &mut col, hw);
+                        &col
+                    };
+                    let colt_b = &mut colt[b * hw * kdim..(b + 1) * hw * kdim];
+                    for (r, row) in col_b.chunks_exact(hw).enumerate() {
+                        for (p, &v) in row.iter().enumerate() {
+                            colt_b[p * kdim + r] = v;
+                        }
+                    }
+                }
+                let mut gw = vec![0.0f32; g.m * kdim];
+                gemm_into(&gcat, &colt, &mut gw, g.m, n * hw, kdim);
                 vec![
                     (x.0, Tensor::from_vec(gx, xv.shape())),
                     (w.0, Tensor::from_vec(gw, wv.shape())),
@@ -330,6 +399,77 @@ mod tests {
             let sq = g.square(y);
             g.sum_all(sq)
         });
+    }
+
+    #[test]
+    fn zero_upstream_gradient_does_not_hide_a_nan_input() {
+        // loss = sum(0·conv(x, w)): every upstream gradient is 0, and 0·NaN
+        // is NaN, so each weight-gradient element whose window sees the
+        // NaN input must come out NaN — and only those.
+        for k in [1, 3] {
+            let mut xs = vec![0.5f32; 2 * 5 * 5];
+            xs[5 * 5 + 2 * 5 + 2] = f32::NAN; // channel 1, centre pixel
+            let mut g = Graph::new();
+            let x = g.leaf(Tensor::from_vec(xs, &[1, 2, 5, 5]));
+            let w = g.leaf(Tensor::ones(&[3, 2, k, k]));
+            let y = g.conv2d(x, w, Conv2dSpec::same(k));
+            let zeroed = g.mul_scalar(y, 0.0);
+            let loss = g.sum_all(zeroed);
+            g.backward(loss);
+            let gw = g.grad(w).expect("weight gradient");
+            for (i, v) in gw.as_slice().iter().enumerate() {
+                let touched = (i / (k * k)) % 2 == 1; // every tap of input channel 1
+                assert_eq!(v.is_nan(), touched, "{k}×{k} kernel, gw[{i}] = {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn weight_grad_sums_items_then_pixels_in_order() {
+        // The weight gradient is one GEMM over the batch; each element must
+        // be the sum over items (outer) and output pixels (inner) from 0.0,
+        // in ascending order, exactly as this loop computes it.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(11);
+        for &(spec, k, size) in &[(Conv2dSpec::same(1), 1, 3), (Conv2dSpec::down(3), 3, 5)] {
+            let (n, cin, cout) = (3, 4, 5);
+            let x = Tensor::randn(&[n, cin, size, size], &mut rng);
+            let mut g = Graph::new();
+            let xv = g.leaf(x.clone());
+            let wv = g.leaf(Tensor::randn(&[cout, cin, k, k], &mut rng));
+            let y = g.conv2d(xv, wv, spec);
+            let (hout, wout) = (g.shape(y)[2], g.shape(y)[3]);
+            assert!(hout * wout < crate::gemm::J_TILE);
+            let up = Tensor::randn(g.shape(y), &mut rng);
+            let upv = g.constant(up.clone());
+            let prod = g.mul(y, upv);
+            let loss = g.sum_all(prod);
+            g.backward(loss);
+            let gw = g.grad(wv).expect("weight gradient");
+            for o in 0..cout {
+                for ci in 0..cin {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let mut acc = 0.0f32;
+                            for b in 0..n {
+                                for oy in 0..hout {
+                                    for ox in 0..wout {
+                                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                                        let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                                        let (iy, ix) = (iy as usize, ix as usize); // negative wraps past `size`
+                                        let xval = if iy < size && ix < size { x.as_slice()[x.idx4(b, ci, iy, ix)] } else { 0.0 };
+                                        acc += up.as_slice()[up.idx4(b, o, oy, ox)] * xval;
+                                    }
+                                }
+                            }
+                            let got = gw.as_slice()[((o * cin + ci) * k + ky) * k + kx];
+                            assert_eq!(got.to_bits(), acc.to_bits(), "{spec:?} gw[{o},{ci},{ky},{kx}]: {got} vs {acc}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

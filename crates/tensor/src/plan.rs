@@ -56,9 +56,9 @@ use std::sync::Arc;
 
 use platter_obs::{GemmShape, OpCost, Profiler};
 
-use crate::gemm::{effective_threads, gemm_fused, gemm_into, BiasAct};
+use crate::gemm::BiasAct;
 use crate::nn::Activation;
-use crate::ops::conv::{im2col, is_pointwise};
+use crate::ops::conv::{fold_conv, ConvGeom};
 use crate::ops::Conv2dSpec;
 use crate::tensor::Tensor;
 use crate::weights::{PlanWeights, WeightId};
@@ -77,7 +77,8 @@ enum PlanOp {
     Input { index: usize },
     /// Convolution with optional folded scale/bias and fused activation.
     /// `weight` is `[cout, cin·kh·kw]` row-major; `bias` always has `cout`
-    /// entries (zeros when the layer is unbiased).
+    /// entries (zeros when the layer is unbiased). A linear layer is a 1×1
+    /// conv over a `[d_in]` value, read as `[d_in, 1, 1]`.
     Conv2d {
         x: ValueId,
         weight: WeightId,
@@ -102,9 +103,6 @@ enum PlanOp {
     Concat { xs: Vec<ValueId> },
     /// Elementwise sum of two same-shape values (residual connections).
     Add { a: ValueId, b: ValueId },
-    /// Affine `y = x·wᵀ + b` with fused activation. `wt` is the transposed
-    /// weight `[d_in, d_out]` so execution is a single GEMM.
-    Linear { x: ValueId, wt: WeightId, bias: WeightId, d_in: usize, d_out: usize, act: Activation },
 }
 
 impl PlanOp {
@@ -116,66 +114,26 @@ impl PlanOp {
             | PlanOp::ScaleBias { x, .. }
             | PlanOp::Activation { x, .. }
             | PlanOp::MaxPool { x, .. }
-            | PlanOp::Upsample { x, .. }
-            | PlanOp::Linear { x, .. } => vec![*x],
+            | PlanOp::Upsample { x, .. } => vec![*x],
             PlanOp::Concat { xs } => xs.clone(),
             PlanOp::Add { a, b } => vec![*a, *b],
         }
     }
 }
 
-/// A convolution as its GEMM sees it: per item, the `[m, k]` weight matrix
-/// times a `[k, hw]` column matrix unfolded from a `[cin, h, w]` input.
-#[derive(Clone, Copy, Debug)]
-struct ConvGeom {
-    cin: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    spec: Conv2dSpec,
-    hout: usize,
-    wout: usize,
-    /// Output channels.
-    m: usize,
-    /// `cin·kh·kw`.
-    k: usize,
-    /// Output pixels per item.
-    hw: usize,
-}
-
 impl ConvGeom {
-    /// Geometry of op `i`, or `None` when it is not a convolution.
+    /// Geometry of op `i`, or `None` when it is not a convolution. A 1-D
+    /// per-item input `[d]` (a linear layer) reads as `[d, 1, 1]`.
     fn of(ops: &[PlanOp], shapes: &[Vec<usize>], i: usize) -> Option<ConvGeom> {
         let (x, cout, cin, kh, kw, spec) = match &ops[i] {
             PlanOp::Conv2d { x, cout, cin, kh, kw, spec, .. } => (*x, *cout, *cin, *kh, *kw, *spec),
             _ => return None,
         };
-        let (h, w) = (shapes[x.0][1], shapes[x.0][2]);
-        let (hout, wout) = (shapes[i][1], shapes[i][2]);
-        Some(ConvGeom { cin, h, w, kh, kw, spec, hout, wout, m: cout, k: cin * kh * kw, hw: hout * wout })
-    }
-
-    fn pointwise(&self) -> bool {
-        is_pointwise(self.kh, self.kw, self.spec)
-    }
-
-    /// Column-matrix elements one item needs in the im2col scratch (none
-    /// for a pointwise conv, whose input plane already is the matrix).
-    fn col_elems(&self) -> usize {
-        if self.pointwise() {
-            0
-        } else {
-            self.k * self.hw
-        }
-    }
-
-    /// How many batch items one GEMM call covers, given `cap` elements of
-    /// im2col scratch: as many as fit side by side, so folding never grows
-    /// the arena and no group's column matrix is wider than the widest
-    /// single-item one the plan already had.
-    fn fold_group(&self, cap: usize) -> usize {
-        (cap / (self.k * self.hw)).max(1)
+        let (h, w) = match shapes[x.0][..] {
+            [_, h, w] => (h, w),
+            _ => (1, 1),
+        };
+        Some(ConvGeom::new(cin, (h, w), cout, (kh, kw), spec))
     }
 }
 
@@ -184,8 +142,8 @@ impl ConvGeom {
 ///
 /// - [`Planner::scale_bias`] after a linear-activation conv with no other
 ///   consumer folds into the conv's weights and bias (BN folding);
-/// - [`Planner::activation`] after a linear-activation conv / scale-bias /
-///   linear with no other consumer becomes that op's fused activation.
+/// - [`Planner::activation`] after a linear-activation conv or scale-bias
+///   with no other consumer becomes that op's fused activation.
 ///
 /// Shapes are tracked **per batch item** (without the leading `n`): every op
 /// in the IR is batch-separable, so one plan serves any batch size.
@@ -251,19 +209,30 @@ impl Planner {
         let hout = spec.out_dim(h, kh);
         let wout = spec.out_dim(w, kw);
         assert!(hout > 0 && wout > 0, "conv2d output collapsed: {h}x{w} k={kh}x{kw} {spec:?}");
+        self.push_conv(x, weight, bias, (cout, cin, kh, kw), spec, vec![cout, hout, wout])
+    }
+
+    /// Record a convolution op whose weight is `cout` rows of `cin·kh·kw`
+    /// and whose output has per-item shape `shape`.
+    fn push_conv(
+        &mut self,
+        x: ValueId,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        (cout, cin, kh, kw): (usize, usize, usize, usize),
+        spec: Conv2dSpec,
+        shape: Vec<usize>,
+    ) -> ValueId {
         let bias = match bias {
             Some(b) => {
-                assert_eq!(b.numel(), cout, "conv2d bias must have {cout} elements, got {:?}", b.shape());
+                assert_eq!(b.numel(), cout, "bias must have {cout} elements, got {:?}", b.shape());
                 b.as_slice().to_vec()
             }
             None => vec![0.0; cout],
         };
         let weight = self.alloc_weight(weight.as_slice().to_vec());
         let bias = self.alloc_weight(bias);
-        self.push(
-            PlanOp::Conv2d { x, weight, bias, cout, cin, kh, kw, spec, act: Activation::Linear },
-            vec![cout, hout, wout],
-        )
+        self.push(PlanOp::Conv2d { x, weight, bias, cout, cin, kh, kw, spec, act: Activation::Linear }, shape)
     }
 
     /// Per-channel affine (inference batch norm): `scale` and `shift` must
@@ -302,8 +271,8 @@ impl Planner {
         )
     }
 
-    /// Apply `act` to `x`. Fuses into the producing conv / scale-bias /
-    /// linear when that op has no other consumer and no activation yet.
+    /// Apply `act` to `x`. Fuses into the producing conv or scale-bias when
+    /// that op has no other consumer and no activation yet.
     pub fn activation(&mut self, x: ValueId, act: Activation) -> ValueId {
         if act == Activation::Linear {
             return x;
@@ -311,8 +280,7 @@ impl Planner {
         if self.consumers[x.0] == 0 {
             match &mut self.ops[x.0] {
                 PlanOp::Conv2d { act: slot @ Activation::Linear, .. }
-                | PlanOp::ScaleBias { act: slot @ Activation::Linear, .. }
-                | PlanOp::Linear { act: slot @ Activation::Linear, .. } => {
+                | PlanOp::ScaleBias { act: slot @ Activation::Linear, .. } => {
                     *slot = act;
                     return x;
                 }
@@ -367,7 +335,8 @@ impl Planner {
     }
 
     /// Affine layer over a `[d_in]`-per-item value: `w: [d_out, d_in]`,
-    /// optional bias of `d_out` elements.
+    /// optional bias of `d_out` elements. Recorded as a 1×1 conv over a
+    /// 1×1 map: `w` already is that conv's `[cout, cin]` weight matrix.
     pub fn linear(&mut self, x: ValueId, weight: &Tensor, bias: Option<&Tensor>) -> ValueId {
         let xs = self.shape(x);
         assert_eq!(xs.len(), 1, "linear input must be [d] per item, got {xs:?}");
@@ -376,16 +345,7 @@ impl Planner {
         assert_eq!(ws.len(), 2, "linear weight must be [d_out, d_in], got {ws:?}");
         assert_eq!(ws[1], d_in, "linear dim mismatch: input {d_in} vs weight {ws:?}");
         let d_out = ws[0];
-        let bias = match bias {
-            Some(b) => {
-                assert_eq!(b.numel(), d_out, "linear bias must have {d_out} elements");
-                b.as_slice().to_vec()
-            }
-            None => vec![0.0; d_out],
-        };
-        let wt = self.alloc_weight(weight.transpose2d().as_slice().to_vec());
-        let bias = self.alloc_weight(bias);
-        self.push(PlanOp::Linear { x, wt, bias, d_in, d_out, act: Activation::Linear }, vec![d_out])
+        self.push_conv(x, weight, bias, (d_out, d_in, 1, 1), Conv2dSpec { stride: 1, pad: 0 }, vec![d_out])
     }
 
     /// Finalise: liveness analysis + static slot assignment (see
@@ -591,7 +551,6 @@ impl Plan {
                 PlanOp::Upsample { factor, .. } => format!("upsample{factor}"),
                 PlanOp::Concat { xs } => format!("concat{}", xs.len()),
                 PlanOp::Add { .. } => "add".to_string(),
-                PlanOp::Linear { act, .. } => format!("linear[{act:?}]"),
             })
             .collect()
     }
@@ -611,7 +570,6 @@ impl Plan {
             PlanOp::Conv2d { weight, bias, .. } => {
                 self.weights.bytes_of(*weight) + self.weights.bytes_of(*bias)
             }
-            PlanOp::Linear { wt, bias, .. } => self.weights.bytes_of(*wt) + self.weights.bytes_of(*bias),
             PlanOp::ScaleBias { scale, shift, .. } => {
                 self.weights.bytes_of(*scale) + self.weights.bytes_of(*shift)
             }
@@ -622,7 +580,7 @@ impl Plan {
 
     /// Arithmetic operations op `i` performs at batch size `n`, counting a
     /// multiply-add as two: `2·m·k·hw` per item for a convolution (the
-    /// epilogue is not counted) and `2·d_in·d_out` for a linear layer; one
+    /// epilogue is not counted; a linear layer is one with `hw = 1`); one
     /// per element for elementwise arithmetic (two for scale-bias, `k²`
     /// comparisons for a `k`×`k` max pool); zero for pure data movement
     /// (input, concat, upsample).
@@ -633,7 +591,6 @@ impl Plan {
                 let g = ConvGeom::of(&self.ops, &self.shapes, i).expect("conv op has a conv geometry");
                 2 * g.m * g.k * g.hw
             }
-            PlanOp::Linear { d_in, d_out, .. } => 2 * d_in * d_out,
             PlanOp::ScaleBias { .. } => 2 * numel,
             PlanOp::Activation { .. } | PlanOp::Add { .. } => numel,
             PlanOp::MaxPool { k, .. } => k * k * numel,
@@ -995,55 +952,7 @@ impl Executor {
                     *d = x + y;
                 }
             }
-            PlanOp::Linear { x, wt, bias, d_in, d_out, act } => {
-                let xs = Self::val(slots, plan, *x, n);
-                let wt = weights.get(*wt);
-                let bias = weights.get(*bias);
-                for row in dst.chunks_mut(*d_out) {
-                    row.copy_from_slice(bias);
-                }
-                gemm_into(xs, wt, dst, n, *d_in, *d_out);
-                apply_act(*act, dst);
-            }
         }
-    }
-}
-
-/// Run one convolution over `n` batch items, up to `fold` items per GEMM:
-/// each group's column matrices are unfolded side by side into `col` as one
-/// `[k, items·hw]` matrix, and the fused GEMM writes the product straight
-/// into the group's NCHW output planes. A pointwise conv alone in its group
-/// skips the copy — its input plane already is the column matrix.
-#[allow(clippy::too_many_arguments)] // kernel, operands, scratch, geometry
-fn fold_conv(
-    kern: &BiasAct<'_>,
-    w: &[f32],
-    xs: &[f32],
-    col: &mut [f32],
-    g: &ConvGeom,
-    fold: usize,
-    n: usize,
-    dst: &mut [f32],
-) {
-    let in_len = g.cin * g.h * g.w;
-    let out_len = g.m * g.hw;
-    let mut b0 = 0;
-    while b0 < n {
-        let items = fold.min(n - b0);
-        let src = &xs[b0 * in_len..(b0 + items) * in_len];
-        let cols: &[f32] = if g.pointwise() && items == 1 {
-            src
-        } else {
-            let ld = items * g.hw;
-            let col = &mut col[..g.k * ld];
-            for (item, x) in src.chunks_exact(in_len).enumerate() {
-                im2col(x, (g.cin, g.h, g.w), (g.kh, g.kw), g.spec, (g.hout, g.wout), &mut col[item * g.hw..], ld);
-            }
-            col
-        };
-        let out = &mut dst[b0 * out_len..(b0 + items) * out_len];
-        gemm_fused(effective_threads(), kern, w, cols, out, g.m, g.k, items * g.hw, g.hw);
-        b0 += items;
     }
 }
 

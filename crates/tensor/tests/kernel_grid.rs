@@ -12,10 +12,13 @@
 //! meets its degenerate shapes. The reference accumulates each element
 //! from its start value in ascending `k` with plain `+=`, which is the
 //! order the driver promises; equality is therefore exact, not a
-//! tolerance, and must hold at 1, 2 and 5 threads.
+//! tolerance, and must hold at 1, 2 and 5 threads. The eager tape's
+//! [`matmul`] is the same driver with a zero bias, so it must equal the
+//! plain product summed from `0.0` on the same grid.
 
-use platter_tensor::gemm::{gemm_fused, BiasAct, J_TILE};
+use platter_tensor::gemm::{gemm_fused, matmul, BiasAct, J_TILE};
 use platter_tensor::nn::Activation;
+use platter_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -89,7 +92,24 @@ fn f32_driver_matches_reference_bit_for_bit() {
                 check_all_paths("f32", m, k, n, &want, |threads, c, hw| {
                     gemm_fused(threads, &kern, &a, &b, c, m, k, n, hw)
                 });
+                assert_matmul_exact(&a, &b, m, k, n);
             }
+        }
+    }
+}
+
+/// Eager [`matmul`] of `a: [m, k]` and `b: [k, n]` against the plain
+/// product, each element summed from `0.0` in ascending `k`, bit for bit.
+fn assert_matmul_exact(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    let got = matmul(&Tensor::from_vec(a.to_vec(), &[m, k]), &Tensor::from_vec(b.to_vec(), &[k, n]));
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc += a[i * k + p] * b[p * n + j];
+            }
+            let g = got.as_slice()[i * n + j];
+            assert_eq!(g.to_bits(), acc.to_bits(), "matmul m={m} k={k} n={n} at ({i}, {j}): {g} vs {acc}");
         }
     }
 }

@@ -77,6 +77,38 @@ if [ -n "$score_sorts" ]; then
   exit 1
 fi
 
+echo "== dependency-use gate (no dead manifest entries or vendored packages) =="
+# The workspace carries no dead dependencies (ROADMAP, design quality): an
+# entry nothing imports still compiles, links and widens the build graph.
+# Every dependency of a crates/* manifest must be named (`-` read as `_`)
+# in some .rs file of that crate, and every vendor/* package must be a
+# dependency of some manifest — the root's [workspace.dependencies] table
+# only declares versions, so it does not count as a use.
+deps_of() {
+  awk '/^\[/ { deps = ($0 ~ /dependencies\]$/ && $0 != "[workspace.dependencies]"); next }
+       deps && /^[A-Za-z0-9_-]/ { name = $0; sub(/[ .=].*/, "", name); print name }' "$1"
+}
+dead=""
+for manifest in crates/*/Cargo.toml; do
+  for dep in $(deps_of "$manifest"); do
+    if ! grep -r -q -w --include='*.rs' -- "${dep//-/_}" "$(dirname "$manifest")"; then
+      dead="$dead $manifest:$dep"
+    fi
+  done
+done
+used=$(for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do deps_of "$manifest"; done | sort -u)
+for manifest in vendor/*/Cargo.toml; do
+  name=$(awk -F'"' '/^name *=/ { print $2; exit }' "$manifest")
+  if ! grep -q -x -F -- "$name" <<<"$used"; then
+    dead="$dead $manifest"
+  fi
+done
+if [ -n "$dead" ]; then
+  echo "dependencies no source names, or vendored packages no manifest uses:" >&2
+  printf '  %s\n' $dead >&2
+  exit 1
+fi
+
 echo "== eager vs compiled parity (YOLOv4 + baselines) =="
 cargo test -q --release -p platter-yolo --test parity
 cargo test -q --release -p platter-baselines --test parity
